@@ -6,12 +6,12 @@ GO ?= go
 # The serve-path benchmark set shared by bench-run/bench-snapshot/bench-gate
 # and profile: everything the benchmark-regression gate watches. Fixed
 # -benchtime keeps allocs/op and B/op reproducible across machines.
-BENCH_SET  = ^(BenchmarkServeInfer|BenchmarkFeaturizeColumn|BenchmarkTreePredict)$$
+BENCH_SET  = ^(BenchmarkServeInfer|BenchmarkFeaturizeColumn|BenchmarkStatsCompute|BenchmarkTreePredict)$$
 BENCH_TIME = 100x
 
 .PHONY: build test race vet shvet shvet-strict shvet-fix shvet-fix-clean \
 	check bench smoke smoke-fleet profile chaos soak bench-run \
-	bench-snapshot bench-gate bench-gate-trace
+	bench-snapshot bench-gate bench-gate-trace bench-check fuzz-short
 
 build:
 	$(GO) build ./...
@@ -52,7 +52,22 @@ shvet-fix:
 shvet-fix-clean:
 	$(GO) run ./cmd/shvet -fix -dry-run ./...
 
-check: build vet shvet shvet-strict shvet-fix-clean test race
+check: build vet shvet shvet-strict shvet-fix-clean test race bench-check
+
+# The end-to-end benchmark under bench/ is its own module, so neither
+# `go build ./...` nor `go test ./...` at the root compiles it. This vets
+# and tests it against the current tree, so a changed signature it uses
+# fails here rather than in the next benchmark run.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# A short pass of every native fuzz target: each runs its committed seed
+# corpus (testdata/fuzz/) and then mutates for 10 s. The targets
+# compare the single-pass cell scanner and the missing-token fast path
+# with their multi-pass reference formulations.
+fuzz-short:
+	$(GO) test -run '^$$' -fuzz '^FuzzComputeMatchesReference$$' -fuzztime 10s ./internal/stats
+	$(GO) test -run '^$$' -fuzz '^FuzzIsMissingMatchesReference$$' -fuzztime 10s ./internal/data
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .

@@ -29,6 +29,7 @@ import (
 	"sortinghat/internal/ml/svm"
 	"sortinghat/internal/ml/tree"
 	"sortinghat/internal/serve"
+	"sortinghat/internal/stats"
 	"sortinghat/internal/synth"
 )
 
@@ -294,6 +295,49 @@ func BenchmarkFeaturizeColumn(b *testing.B) {
 		featurize.ExtractFirstN(col, featurize.SampleCount)
 	}
 }
+
+// heldOut is the held-out labeled corpus the serving benchmark's ingest
+// workloads draw from at seed 1: synth.DefaultCorpusConfig with 12,000
+// columns and corpus seed 8919, generated once per test binary.
+var (
+	heldOutOnce sync.Once
+	heldOut     []data.LabeledColumn
+)
+
+func heldOutCorpus() []data.LabeledColumn {
+	heldOutOnce.Do(func() {
+		cfg := synth.DefaultCorpusConfig()
+		cfg.N = 12000
+		cfg.Seed = 8919
+		heldOut = synth.GenerateCorpus(cfg)
+	})
+	return heldOut
+}
+
+// BenchmarkStatsCompute measures the stats.compute layer alone: one
+// stats.Compute per op over the held-out corpus's columns in order, with
+// the first SampleCount distinct values as samples, as on the serve path.
+// It reports ns/cell, the unit of the end-to-end benchmark's
+// stats.ns_per_cell, next to allocs/op.
+func BenchmarkStatsCompute(b *testing.B) {
+	corpus := heldOutCorpus()
+	samples := make([][]string, len(corpus))
+	for i := range corpus {
+		samples[i] = corpus[i].Column.FirstNDistinct(featurize.SampleCount)
+	}
+	cells := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := i % len(corpus)
+		statsSink = stats.Compute(&corpus[j].Column, samples[j])
+		cells += len(corpus[j].Values)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(cells), "ns/cell")
+}
+
+// statsSink keeps the compiler from discarding the measured call.
+var statsSink stats.Stats
 
 // BenchmarkTreePredict measures one Random Forest probability prediction
 // over pre-built feature vectors, isolating tree traversal (plus the

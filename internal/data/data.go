@@ -13,12 +13,15 @@ package data
 
 import (
 	"strings"
+	"unicode/utf8"
 
 	"sortinghat/ftype"
 )
 
 // MissingTokens are cell values treated as missing (NaN) throughout the
 // benchmark, mirroring the common NA markers recognised by data prep tools.
+// Every token is lower-case ASCII. The table is read-only: IsMissing derives
+// its length bound from it once, at package initialisation.
 var MissingTokens = map[string]bool{
 	"":        true,
 	"na":      true,
@@ -33,9 +36,47 @@ var MissingTokens = map[string]bool{
 	"missing": true,
 }
 
-// IsMissing reports whether a raw cell value counts as missing.
+// maxMissingLen is the byte length of the longest missing token.
+var maxMissingLen int
+
+func init() {
+	for tok := range MissingTokens {
+		maxMissingLen = max(maxMissingLen, len(tok))
+	}
+}
+
+// IsMissing reports whether a raw cell value counts as missing: whether it
+// lowercases, with surrounding whitespace trimmed, to one of MissingTokens.
+//
+// Every cell of every column passes through here, so the common cases make
+// no allocation. A trimmed ASCII value that is longer than the longest
+// token is rejected without lowering; any other is lowered into a stack
+// buffer. Only a short value with a non-ASCII
+// byte takes strings.ToLower, whose Unicode case mapping can turn it into
+// an ASCII token ("mİssİng" lowers to "missing"). A value of more than
+// utf8.UTFMax*maxMissingLen bytes is rejected outright: it has more runes
+// than the longest token has bytes, and lowering maps each rune to a rune
+// of at least one byte.
 func IsMissing(v string) bool {
-	return MissingTokens[strings.ToLower(strings.TrimSpace(v))]
+	t := strings.TrimSpace(v)
+	if len(t) > utf8.UTFMax*maxMissingLen {
+		return false
+	}
+	var buf [16]byte
+	for i := 0; i < len(t); i++ {
+		c := t[i]
+		if i == maxMissingLen {
+			return false // an ASCII prefix longer than every token
+		}
+		if c >= utf8.RuneSelf || i == len(buf) {
+			return MissingTokens[strings.ToLower(t)]
+		}
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		buf[i] = c
+	}
+	return MissingTokens[string(buf[:len(t)])]
 }
 
 // Column is one attribute of a raw data file: a name and its cell values in

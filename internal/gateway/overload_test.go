@@ -59,14 +59,41 @@ func TestChaosBrownoutBoundedAmplification(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var (
-		addrs    []string
-		slowAddr string
-		slowSrv  *serve.Server
-	)
-	for i := 0; i < 3; i++ {
+	// Ring placement hashes the replicas' addresses, and httptest ports
+	// vary run to run, so the victim is chosen only once the addresses
+	// are known: the replica that owns the most of the batch's columns.
+	req := testBatch(24)
+	cols := make([]data.Column, len(req.Columns))
+	for i := range req.Columns {
+		cols[i] = toColumn(req.Columns[i])
+	}
+	servers := make([]*httptest.Server, 3)
+	addrs := make([]string, len(servers))
+	for i := range servers {
+		servers[i] = httptest.NewUnstartedServer(nil)
+		t.Cleanup(servers[i].Close)
+		addrs[i] = "http://" + servers[i].Listener.Addr().String()
+	}
+	ring, err := NewRing(addrs, DefaultVNodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	owned := make([]int, len(addrs))
+	for i := range cols {
+		owned[ring.Owner(ringKey(&cols[i]))]++
+	}
+	victim := 0
+	for i := range owned {
+		if owned[i] > owned[victim] {
+			victim = i
+		}
+	}
+	slowAddr := ring.Replicas()[victim]
+
+	var slowSrv *serve.Server
+	for i, ts := range servers {
 		cfg := serve.Config{Workers: 2, CacheSize: 1024, ModelVersion: fmt.Sprintf("m%d", i)}
-		if i == 0 {
+		if addrs[i] == slowAddr {
 			// The brownout victim: one worker, uncached, every featurize
 			// slowed 120ms, and a request deadline short enough that most of
 			// a queued shard expires before pickup.
@@ -79,12 +106,14 @@ func TestChaosBrownoutBoundedAmplification(t *testing.T) {
 			}
 		}
 		s := serve.New(model, cfg)
-		ts := httptest.NewServer(s.Handler())
-		t.Cleanup(ts.Close)
+		ts.Config.Handler = s.Handler()
+		ts.Start()
 		t.Cleanup(s.Close)
-		addrs = append(addrs, ts.URL)
-		if i == 0 {
-			slowAddr, slowSrv = ts.URL, s
+		if ts.URL != addrs[i] {
+			t.Fatalf("replica %d listens at %s, want %s", i, ts.URL, addrs[i])
+		}
+		if addrs[i] == slowAddr {
+			slowSrv = s
 		}
 	}
 
@@ -99,11 +128,6 @@ func TestChaosBrownoutBoundedAmplification(t *testing.T) {
 		c.Breaker = resilience.BreakerConfig{FailureThreshold: 100}
 	})
 
-	req := testBatch(24)
-	cols := make([]data.Column, len(req.Columns))
-	for i := range req.Columns {
-		cols[i] = toColumn(req.Columns[i])
-	}
 	slow := replicaByAddr(g, slowAddr)
 	slowShard := 0
 	for i := range cols {

@@ -9,8 +9,6 @@ import (
 	"strconv"
 	"strings"
 	"time"
-	"unicode"
-	"unicode/utf8"
 )
 
 // ParseFloat attempts to interpret a raw cell as a plain number. It accepts
@@ -22,21 +20,39 @@ func ParseFloat(v string) (float64, bool) {
 	if v == "" {
 		return 0, false
 	}
-	// Cheap alphabet screen: every string strconv can accept — decimal,
+	// Cheap exact screens: every string strconv can accept — decimal,
 	// hex float, inf/infinity, nan, underscored digits — draws only from
-	// floatAlphabet. Rejecting anything else here skips the *NumError
-	// allocation strconv would make for each of the (very common)
-	// non-numeric cells on the featurize hot path.
+	// floatAlphabet, and all but the special values hold a decimal digit
+	// (a hex float starts "0x"). Rejecting anything else here skips the
+	// *NumError allocation strconv would make for each of the (very
+	// common) non-numeric cells on the featurize hot path, words such as
+	// "face" or "deny" included.
+	digit := false
 	for i := 0; i < len(v); i++ {
-		if !floatAlphabet[v[i]] {
+		c := v[i]
+		if !floatAlphabet[c] {
 			return 0, false
 		}
+		digit = digit || '0' <= c && c <= '9'
+	}
+	if !digit && !isSpecialFloat(v) {
+		return 0, false
 	}
 	f, err := strconv.ParseFloat(v, 64)
 	if err != nil {
 		return 0, false
 	}
 	return f, true
+}
+
+// isSpecialFloat reports whether v is one of the digit-free spellings
+// strconv.ParseFloat may accept: "inf", "infinity" or "nan" in any case,
+// after at most one sign.
+func isSpecialFloat(v string) bool {
+	if v != "" && (v[0] == '+' || v[0] == '-') {
+		v = v[1:]
+	}
+	return strings.EqualFold(v, "inf") || strings.EqualFold(v, "infinity") || strings.EqualFold(v, "nan")
 }
 
 // floatAlphabet marks every byte that can occur in a string
@@ -181,8 +197,17 @@ func IsDate(v string) bool {
 	if hmsRe.MatchString(v) {
 		return true
 	}
-	// Quick reject: dates need a digit.
-	if !strings.ContainsAny(v, "0123456789") {
+	// Quick rejects, both exact: dates need a digit, and every layout
+	// also needs a non-digit byte (a separator or a name), so neither a
+	// digit-free nor an all-digit value reaches time.Parse and its
+	// *ParseError allocation per layout.
+	digits := 0
+	for i := 0; i < len(v); i++ {
+		if '0' <= v[i] && v[i] <= '9' {
+			digits++
+		}
+	}
+	if digits == 0 || digits == len(v) {
 		return false
 	}
 	for _, layout := range dateLayouts {
@@ -208,92 +233,18 @@ var stopwords = map[string]bool{
 	"what": true, "so": true, "if": true, "about": true, "into": true,
 }
 
-// CountWords returns the number of whitespace-separated tokens in v.
-func CountWords(v string) int {
-	n := 0
-	eachField(v, func(string) { n++ })
-	return n
-}
+// CountWords returns the number of whitespace-separated tokens in v,
+// splitting exactly as strings.Fields does (runs of unicode.IsSpace).
+func CountWords(v string) int { return scanCell(v).words }
 
 // CountStopwords returns the number of tokens in v that are common English
-// stopwords (case-insensitive, trailing punctuation stripped).
-func CountStopwords(v string) int {
-	n := 0
-	var buf [64]byte
-	eachField(v, func(w string) {
-		if isStopword(strings.Trim(w, ".,;:!?\"'()"), buf[:]) {
-			n++
-		}
-	})
-	return n
-}
+// stopwords (case-insensitive, with the punctuation ".,;:!?\"'()" trimmed
+// from both ends of each token).
+func CountStopwords(v string) int { return scanCell(v).stopwords }
 
-// eachField calls fn for every whitespace-separated token of v, splitting
-// exactly as strings.Fields does (runs of unicode.IsSpace) without building
-// the token slice. Compute calls the Count* helpers once per cell, so the
-// per-value slice was the dominant allocation of base featurization.
-func eachField(v string, fn func(string)) {
-	start := -1
-	for i, r := range v {
-		if unicode.IsSpace(r) {
-			if start >= 0 {
-				fn(v[start:i])
-				start = -1
-			}
-		} else if start < 0 {
-			start = i
-		}
-	}
-	if start >= 0 {
-		fn(v[start:])
-	}
-}
-
-// isStopword reports whether w lowercases to a stopword. ASCII tokens that
-// fit in buf are lowered there (the map lookup on a converted byte slice
-// does not allocate); anything else falls back to strings.ToLower, keeping
-// the exotic-case behaviour (e.g. the Kelvin sign lowering to 'k')
-// identical to the original formulation.
-func isStopword(w string, buf []byte) bool {
-	if len(w) <= len(buf) {
-		ascii := true
-		for i := 0; i < len(w); i++ {
-			c := w[i]
-			if c >= utf8.RuneSelf {
-				ascii = false
-				break
-			}
-			if 'A' <= c && c <= 'Z' {
-				c += 'a' - 'A'
-			}
-			buf[i] = c
-		}
-		if ascii {
-			return stopwords[string(buf[:len(w)])]
-		}
-	}
-	return stopwords[strings.ToLower(w)]
-}
-
-// CountWhitespace returns the number of whitespace characters in v.
-func CountWhitespace(v string) int {
-	n := 0
-	for _, r := range v {
-		if r == ' ' || r == '\t' {
-			n++
-		}
-	}
-	return n
-}
+// CountWhitespace returns the number of space and tab characters in v.
+func CountWhitespace(v string) int { return scanCell(v).whitespace }
 
 // CountDelimiters returns the number of list-style delimiter characters
 // (comma, semicolon, pipe) in v.
-func CountDelimiters(v string) int {
-	n := 0
-	for _, r := range v {
-		if r == ',' || r == ';' || r == '|' {
-			n++
-		}
-	}
-	return n
-}
+func CountDelimiters(v string) int { return scanCell(v).delims }

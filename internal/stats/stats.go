@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"sync"
 
 	"sortinghat/internal/data"
 )
@@ -125,17 +126,26 @@ func logCompress(v float64) float64 {
 }
 
 // Compute extracts the full descriptive statistics for a column, using the
-// provided sample values (typically the 5 randomly sampled distinct values
-// from base featurization) for the regex/timestamp checks.
+// provided sample values for the regex/timestamp checks. Base
+// featurization passes its 5 sampled distinct values: random ones in
+// featurize.Extract, the first 5 in column order on the serve path
+// (featurize.ExtractFirstN).
+//
+// Each cell is classified once: IsMissing on its trimmed ends, the numeric
+// cast behind cheap screens, and one scanCell walk for the word, stopword,
+// whitespace and delimiter counts. The distinct set and the six per-value
+// series come from a pool, so a column costs no allocation for them.
 func Compute(col *data.Column, samples []string) Stats {
 	var s Stats
 	s.TotalVals = len(col.Values)
 
-	// One backing allocation feeds all six per-value series. Each series
-	// gets a full-capacity slot (three-index slice), so the appends below
-	// stay in place and can never grow into a neighbour's slot.
 	n := len(col.Values)
-	backing := make([]float64, 6*n)
+	sc := getScratch(n)
+	defer putScratch(sc)
+	// Each series gets a full-capacity slot of the one backing array
+	// (three-index slice), so the appends below stay in place and can never
+	// grow into a neighbour's slot.
+	backing := sc.series[:6*n]
 	var (
 		numVals = backing[0*n : 0*n : 1*n]
 		charC   = backing[1*n : 1*n : 2*n]
@@ -146,16 +156,13 @@ func Compute(col *data.Column, samples []string) Stats {
 
 		nInt, nFloat, nonMissing int
 	)
-	seen := make(map[string]struct{}, len(col.Values))
 	for _, v := range col.Values {
 		if data.IsMissing(v) {
 			s.NumNaNs++
 			continue
 		}
 		nonMissing++
-		if _, ok := seen[v]; !ok {
-			seen[v] = struct{}{}
-		}
+		sc.seen[v] = struct{}{}
 		if f, ok := ParseFloat(v); ok {
 			numVals = append(numVals, f)
 			nFloat++
@@ -163,13 +170,14 @@ func Compute(col *data.Column, samples []string) Stats {
 				nInt++
 			}
 		}
+		c := scanCell(v)
 		charC = append(charC, float64(len(v)))
-		wordC = append(wordC, float64(CountWords(v)))
-		stopC = append(stopC, float64(CountStopwords(v)))
-		wsC = append(wsC, float64(CountWhitespace(v)))
-		delimC = append(delimC, float64(CountDelimiters(v)))
+		wordC = append(wordC, float64(c.words))
+		stopC = append(stopC, float64(c.stopwords))
+		wsC = append(wsC, float64(c.whitespace))
+		delimC = append(delimC, float64(c.delims))
 	}
-	s.NumUnique = len(seen)
+	s.NumUnique = len(sc.seen)
 	if s.TotalVals > 0 {
 		s.PctNaNs = 100 * float64(s.NumNaNs) / float64(s.TotalVals)
 		s.PctUnique = 100 * float64(s.NumUnique) / float64(s.TotalVals)
@@ -186,28 +194,74 @@ func Compute(col *data.Column, samples []string) Stats {
 	s.MeanWhitespaceCount, s.StdWhitespaceCount = meanStd(wsC)
 	s.MeanDelimCount, s.StdDelimCount = meanStd(delimC)
 
-	s.SampleHasURL = majority(samples, IsURL)
-	s.SampleHasEmail = majority(samples, IsEmail)
-	s.SampleHasDelimSeq = majority(samples, HasDelimiterSequence)
-	s.SampleHasList = majority(samples, IsList)
-	s.SampleHasDate = majority(samples, IsDate)
-	return s
-}
-
-// majority reports whether pred holds for more than half of the non-missing
-// sample values (and for at least one).
-func majority(samples []string, pred func(string) bool) bool {
-	n, hits := 0, 0
+	// Each flag holds when its check passes on more than half of the
+	// non-missing samples (and on at least one).
+	var nSamples, url, email, delimSeq, list, date int
 	for _, v := range samples {
 		if data.IsMissing(v) {
 			continue
 		}
-		n++
-		if pred(v) {
-			hits++
-		}
+		nSamples++
+		url += b2i(IsURL(v))
+		email += b2i(IsEmail(v))
+		delimSeq += b2i(HasDelimiterSequence(v))
+		list += b2i(IsList(v))
+		date += b2i(IsDate(v))
 	}
-	return n > 0 && hits*2 > n
+	majority := func(hits int) bool { return nSamples > 0 && hits*2 > nSamples }
+	s.SampleHasURL = majority(url)
+	s.SampleHasEmail = majority(email)
+	s.SampleHasDelimSeq = majority(delimSeq)
+	s.SampleHasList = majority(list)
+	s.SampleHasDate = majority(date)
+	return s
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// scratch is Compute's per-column working memory: the distinct-value set
+// and the backing array of the six per-value series.
+type scratch struct {
+	seen   map[string]struct{}
+	series []float64
+}
+
+// maxPooledCells bounds the columns whose scratch goes back to the pool.
+// A map keeps its buckets after clear and clear costs time in proportion to
+// them, so one huge column would otherwise pin its memory and slow the
+// clear of every small column after it. A bigger column gets fresh scratch
+// and drops it after use.
+const maxPooledCells = 4096
+
+var scratchPool = sync.Pool{New: func() any {
+	return &scratch{seen: make(map[string]struct{})}
+}}
+
+// getScratch returns empty scratch with room for a column of n cells.
+func getScratch(n int) *scratch {
+	if n > maxPooledCells {
+		return &scratch{seen: make(map[string]struct{}, n), series: make([]float64, 6*n)}
+	}
+	sc := scratchPool.Get().(*scratch)
+	if cap(sc.series) < 6*n {
+		sc.series = make([]float64, 6*n)
+	}
+	return sc
+}
+
+// putScratch clears sc and returns it to the pool, unless it was sized for
+// a column over maxPooledCells.
+func putScratch(sc *scratch) {
+	if cap(sc.series) > 6*maxPooledCells {
+		return
+	}
+	clear(sc.seen)
+	scratchPool.Put(sc)
 }
 
 func meanStd(vals []float64) (mean, std float64) {
