@@ -9,9 +9,9 @@ GO ?= go
 BENCH_SET  = ^(BenchmarkServeInfer|BenchmarkFeaturizeColumn|BenchmarkStatsCompute|BenchmarkTreePredict)$$
 BENCH_TIME = 100x
 
-.PHONY: build test race vet shvet shvet-strict shvet-fix shvet-fix-clean \
-	check bench smoke smoke-fleet profile chaos soak bench-run \
-	bench-snapshot bench-gate bench-gate-trace bench-check fuzz-short
+.PHONY: build test race vet shvet check bench smoke smoke-fleet profile \
+	chaos soak bench-run bench-snapshot bench-gate bench-gate-trace \
+	bench-check fuzz-short
 
 build:
 	$(GO) build ./...
@@ -24,35 +24,19 @@ test:
 race:
 	$(GO) test -race ./...
 
+# Its lostcancel and copylocks passes are the gate for leaked context
+# cancels and locks copied by value.
 vet:
 	$(GO) vet ./...
 
-# Repo-specific determinism & correctness analyzers (internal/analysis).
-# Exits non-zero on any unsuppressed finding; see README "Static analysis
-# & determinism policy" for the suppression directive.
+# The thirteen repo-specific determinism, correctness and hot-path
+# analyzers (internal/analysis). Exits non-zero on any unsuppressed
+# finding; see README "Static analysis & determinism policy" for the
+# suppression directive.
 shvet:
 	$(GO) run ./cmd/shvet ./...
 
-# Strict machine-readable gate: findings as stable JSON, diffed against
-# the committed (empty) baseline so only brand-new findings fail. The
-# report lands in shvet-findings.json (gitignored; CI uploads it as an
-# artifact).
-shvet-strict:
-	$(GO) run ./cmd/shvet -json -baseline shvet.baseline.json ./... > shvet-findings.json
-
-# Apply every suggested fix in place (cancel-leak, body-close,
-# timer-stop); suppressed findings are refused, overlapping fixes are
-# skipped, and every rewritten file is gofmt-formatted.
-shvet-fix:
-	$(GO) run ./cmd/shvet -fix ./...
-
-# Autofix cleanliness gate: on a committed tree, -fix -dry-run must
-# print no diffs and exit 0 — every fixable finding has either been
-# applied (run `make shvet-fix`) or suppressed with a reason.
-shvet-fix-clean:
-	$(GO) run ./cmd/shvet -fix -dry-run ./...
-
-check: build vet shvet shvet-strict shvet-fix-clean test race bench-check
+check: build vet shvet test race bench-check
 
 # The end-to-end benchmark under bench/ is its own module, so neither
 # `go build ./...` nor `go test ./...` at the root compiles it. This vets

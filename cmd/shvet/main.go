@@ -1,7 +1,7 @@
-// Command shvet runs the repository's eighteen-analyzer suite
-// (internal/analysis) — determinism, correctness, resource-lifecycle,
-// and hot-path performance passes — over the module and exits non-zero
-// when any unsuppressed finding remains, so it can gate CI.
+// Command shvet runs the repository's thirteen-analyzer suite
+// (internal/analysis) — determinism, correctness, and hot-path
+// performance passes — over the module and exits non-zero when any
+// unsuppressed finding remains, so it can gate CI.
 //
 // The four performance analyzers (alloc-in-loop, string-churn,
 // defer-in-loop, boxing) report only inside the serving hot region:
@@ -11,49 +11,28 @@
 // cmd/benchdiff, which replays the serve benchmarks against the
 // committed BENCH_serve.json snapshot (make bench-gate).
 //
-// The four lifecycle analyzers (cancel-leak, body-close, timer-stop,
-// handler-contract) walk release obligations — context CancelFuncs,
-// response bodies, tickers, the ResponseWriter protocol — across every
-// path out of the acquiring scope. Where the repair is mechanical the
-// finding carries a suggested fix, and -fix applies it.
-//
 // Usage:
 //
 //	shvet [flags] [pattern ...]
 //
 // Patterns follow the go tool's shape: "./..." (the default) analyzes the
 // whole module, "./internal/experiments" one package, "./internal/..." a
-// subtree. Flags:
+// subtree. Only matching packages are type-checked, plus whatever they
+// import from the module. Flags:
 //
 //	-list             print the analyzers and exit
 //	-only a,b         run only the named analyzers
 //	-show-suppressed  also print findings silenced by //shvet:ignore
-//	-json             emit the findings as a stable JSON report on stdout
-//	-baseline FILE    fail only on findings not present in FILE (a prior
-//	                  -json report); known ones print as "(baseline)"
-//	-fix              apply suggested fixes, rewriting files in place
-//	                  (suppressed findings are never fixed; overlapping
-//	                  fixes are skipped; output is gofmt-clean)
-//	-dry-run          with -fix: print unified diffs of the would-be
-//	                  rewrites instead of touching any file
 //
 // Findings print as file:line:col: [analyzer] message. Suppress one with
 // an end-of-line directive: //shvet:ignore <analyzer> <reason>.
-//
-// The -json report is byte-stable across runs: findings are sorted, and
-// file paths are module-root-relative with forward slashes. The same
-// format is what -baseline consumes; a finding is matched by its (file,
-// analyzer, message) triple, so line drift from unrelated edits does not
-// resurrect baselined findings.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"sortinghat/internal/analysis"
@@ -63,70 +42,13 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// jsonFinding is one finding in the -json report. File is relative to
-// the module root, slash-separated, so reports compare across hosts.
-type jsonFinding struct {
-	File       string `json:"file"`
-	Line       int    `json:"line"`
-	Col        int    `json:"col"`
-	Analyzer   string `json:"analyzer"`
-	Message    string `json:"message"`
-	Suppressed bool   `json:"suppressed"`
-	Reason     string `json:"reason,omitempty"`
-	New        bool   `json:"new"`
-}
-
-// key identifies a finding for baseline matching. Line and column are
-// deliberately excluded: unrelated edits move findings around without
-// changing what they are.
-func (f jsonFinding) key() string {
-	return f.File + "\x00" + f.Analyzer + "\x00" + f.Message
-}
-
-// jsonReport is the -json output and the -baseline input format.
-type jsonReport struct {
-	Module     string        `json:"module"`
-	Total      int           `json:"total"`
-	Suppressed int           `json:"suppressed"`
-	New        int           `json:"new"`
-	Findings   []jsonFinding `json:"findings"`
-}
-
-func loadBaseline(path string) (map[string]bool, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var rep jsonReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	known := map[string]bool{}
-	for _, f := range rep.Findings {
-		known[f.key()] = true
-	}
-	return known, nil
-}
-
 func run(args []string, stdout, stderr *os.File) int {
 	fs := flag.NewFlagSet("shvet", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	list := fs.Bool("list", false, "print the analyzers and exit")
 	only := fs.String("only", "", "comma-separated analyzer names to run (default: all)")
 	showSuppressed := fs.Bool("show-suppressed", false, "also print suppressed findings")
-	jsonOut := fs.Bool("json", false, "emit findings as a stable JSON report on stdout")
-	baselinePath := fs.String("baseline", "", "fail only on findings absent from this prior -json report")
-	fix := fs.Bool("fix", false, "apply suggested fixes, rewriting files in place")
-	dryRun := fs.Bool("dry-run", false, "with -fix: print unified diffs instead of writing files")
 	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if *dryRun && !*fix {
-		fmt.Fprintf(stderr, "shvet: -dry-run only makes sense together with -fix\n")
-		return 2
-	}
-	if *fix && *jsonOut {
-		fmt.Fprintf(stderr, "shvet: -fix and -json cannot be combined\n")
 		return 2
 	}
 
@@ -153,16 +75,6 @@ func run(args []string, stdout, stderr *os.File) int {
 		}
 	}
 
-	var baseline map[string]bool
-	if *baselinePath != "" {
-		var err error
-		baseline, err = loadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintf(stderr, "shvet: baseline: %v\n", err)
-			return 2
-		}
-	}
-
 	cwd, err := os.Getwd()
 	if err != nil {
 		fmt.Fprintf(stderr, "shvet: %v\n", err)
@@ -173,208 +85,40 @@ func run(args []string, stdout, stderr *os.File) int {
 		fmt.Fprintf(stderr, "shvet: %v\n", err)
 		return 2
 	}
-	pkgs, err := loader.Load()
-	if err != nil {
-		fmt.Fprintf(stderr, "shvet: %v\n", err)
-		return 2
-	}
-
 	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	pkgs = filterPackages(pkgs, patterns, cwd)
+	pkgs, err := loader.Load(patterns...)
+	if err != nil {
+		fmt.Fprintf(stderr, "shvet: %v\n", err)
+		return 2
+	}
 	if len(pkgs) == 0 {
 		fmt.Fprintf(stderr, "shvet: no packages match %v\n", patterns)
 		return 2
 	}
 
-	findings := analysis.Analyze(pkgs, analyzers)
-
-	dryRunDiffs := false
-	if *fix {
-		src, err := packageSources(pkgs)
-		if err != nil {
-			fmt.Fprintf(stderr, "shvet: %v\n", err)
-			return 2
+	unsuppressed := 0
+	for _, f := range analysis.Analyze(pkgs, analyzers) {
+		if !f.Suppressed {
+			unsuppressed++
+		} else if !*showSuppressed {
+			continue
 		}
-		changed, applied, skippedFixes, err := analysis.ApplyFixes(pkgs[0].Fset, src, findings)
-		if err != nil {
-			fmt.Fprintf(stderr, "shvet: %v\n", err)
-			return 2
+		rel := f
+		if r, err := filepath.Rel(cwd, f.Pos.Filename); err == nil && !strings.HasPrefix(r, "..") {
+			rel.Pos.Filename = r
 		}
-		files := make([]string, 0, len(changed))
-		for name := range changed {
-			files = append(files, name)
+		suffix := ""
+		if f.Suppressed {
+			suffix = fmt.Sprintf(" (suppressed: %s)", f.Reason)
 		}
-		sort.Strings(files)
-		if *dryRun {
-			for _, name := range files {
-				fmt.Fprint(stdout, analysis.UnifiedDiff(modRelPath(loader.ModRoot, name), src[name], changed[name]))
-			}
-			dryRunDiffs = len(files) > 0
-		} else {
-			for _, name := range files {
-				if werr := os.WriteFile(name, changed[name], 0o644); werr != nil {
-					fmt.Fprintf(stderr, "shvet: %v\n", werr)
-					return 2
-				}
-			}
-			if len(applied) > 0 {
-				fmt.Fprintf(stderr, "shvet: applied %d fix(es) across %d file(s)\n", len(applied), len(files))
-			}
-			// The applied findings no longer exist in the tree; the report
-			// and the exit code cover only what remains.
-			findings = dropApplied(findings, applied)
-		}
-		for _, s := range skippedFixes {
-			rel := modRelPath(loader.ModRoot, s.Finding.Pos.Filename)
-			fmt.Fprintf(stderr, "shvet: fix skipped at %s:%d [%s]: %s\n", rel, s.Finding.Pos.Line, s.Finding.Analyzer, s.Reason)
-		}
+		fmt.Fprintf(stdout, "%s%s\n", rel, suffix)
 	}
-
-	rep := jsonReport{Module: loader.ModPath, Findings: []jsonFinding{}}
-	for _, f := range findings {
-		jf := jsonFinding{
-			File:       modRelPath(loader.ModRoot, f.Pos.Filename),
-			Line:       f.Pos.Line,
-			Col:        f.Pos.Column,
-			Analyzer:   f.Analyzer,
-			Message:    f.Message,
-			Suppressed: f.Suppressed,
-			Reason:     f.Reason,
-		}
-		jf.New = !jf.Suppressed && !baseline[jf.key()]
-		rep.Total++
-		if jf.Suppressed {
-			rep.Suppressed++
-		}
-		if jf.New {
-			rep.New++
-		}
-		rep.Findings = append(rep.Findings, jf)
-	}
-
-	if *jsonOut {
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fmt.Fprintf(stderr, "shvet: %v\n", err)
-			return 2
-		}
-		fmt.Fprintf(stdout, "%s\n", data)
-	} else if !(*fix && *dryRun) {
-		// In -fix -dry-run mode stdout carries the diffs, nothing else.
-		for i, f := range findings {
-			if f.Suppressed && !*showSuppressed {
-				continue
-			}
-			rel := f
-			if r, err := filepath.Rel(cwd, f.Pos.Filename); err == nil && !strings.HasPrefix(r, "..") {
-				rel.Pos.Filename = r
-			}
-			suffix := ""
-			switch {
-			case f.Suppressed:
-				suffix = fmt.Sprintf(" (suppressed: %s)", f.Reason)
-			case !rep.Findings[i].New:
-				suffix = " (baseline)"
-			}
-			fmt.Fprintf(stdout, "%s%s\n", rel, suffix)
-		}
-	}
-	if rep.New > 0 {
-		if baseline != nil {
-			fmt.Fprintf(stderr, "shvet: %d new finding(s) not in baseline\n", rep.New)
-		} else {
-			fmt.Fprintf(stderr, "shvet: %d unsuppressed finding(s)\n", rep.New)
-		}
-		return 1
-	}
-	if dryRunDiffs {
-		// Everything pending is baselined, but -fix would still rewrite
-		// files; a "clean" exit would let CI miss the unapplied fixes.
-		fmt.Fprintf(stderr, "shvet: -fix would rewrite files (see diffs above)\n")
+	if unsuppressed > 0 {
+		fmt.Fprintf(stderr, "shvet: %d unsuppressed finding(s)\n", unsuppressed)
 		return 1
 	}
 	return 0
-}
-
-// packageSources reads the current on-disk bytes of every file in the
-// analyzed packages, keyed the way the FileSet names them.
-func packageSources(pkgs []*analysis.Package) (map[string][]byte, error) {
-	src := map[string][]byte{}
-	for _, pkg := range pkgs {
-		for _, file := range pkg.Files {
-			name := pkg.Fset.Position(file.Pos()).Filename
-			if _, ok := src[name]; ok {
-				continue
-			}
-			data, err := os.ReadFile(name)
-			if err != nil {
-				return nil, err
-			}
-			src[name] = data
-		}
-	}
-	return src, nil
-}
-
-// dropApplied removes the findings whose fixes were just applied; they
-// describe code that no longer exists.
-func dropApplied(findings, applied []analysis.Finding) []analysis.Finding {
-	fixed := make(map[*analysis.SuggestedFix]bool, len(applied))
-	for _, f := range applied {
-		fixed[f.Fix] = true
-	}
-	out := make([]analysis.Finding, 0, len(findings))
-	for _, f := range findings {
-		if f.Fix != nil && fixed[f.Fix] {
-			continue
-		}
-		out = append(out, f)
-	}
-	return out
-}
-
-// modRelPath renders filename relative to the module root with forward
-// slashes; paths outside the root (never expected) pass through as-is.
-func modRelPath(root, filename string) string {
-	if r, err := filepath.Rel(root, filename); err == nil && !strings.HasPrefix(r, "..") {
-		return filepath.ToSlash(r)
-	}
-	return filepath.ToSlash(filename)
-}
-
-// filterPackages keeps the packages whose directory matches any pattern,
-// resolved relative to cwd.
-func filterPackages(pkgs []*analysis.Package, patterns []string, cwd string) []*analysis.Package {
-	type rule struct {
-		dir     string
-		subtree bool
-	}
-	var rules []rule
-	for _, p := range patterns {
-		subtree := false
-		if p == "..." || strings.HasSuffix(p, "/...") {
-			subtree = true
-			p = strings.TrimSuffix(strings.TrimSuffix(p, "..."), "/")
-			if p == "" {
-				p = "."
-			}
-		}
-		if !filepath.IsAbs(p) {
-			p = filepath.Join(cwd, p)
-		}
-		rules = append(rules, rule{dir: filepath.Clean(p), subtree: subtree})
-	}
-	var out []*analysis.Package
-	for _, pkg := range pkgs {
-		for _, r := range rules {
-			if pkg.Dir == r.dir || (r.subtree && strings.HasPrefix(pkg.Dir+string(filepath.Separator), r.dir+string(filepath.Separator))) {
-				out = append(out, pkg)
-				break
-			}
-		}
-	}
-	return out
 }

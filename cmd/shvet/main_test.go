@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -44,7 +43,7 @@ func TestListPrintsEveryAnalyzer(t *testing.T) {
 		t.Fatalf("exit = %d, want 0", code)
 	}
 	for _, name := range []string{
-		"global-rand", "map-order", "float-eq", "unchecked-err", "sync-copy",
+		"global-rand", "map-order", "float-eq", "unchecked-err",
 		"doc-comment", "lock-balance", "nondet-flow", "ctx-flow", "goroutine-leak",
 	} {
 		if !strings.Contains(stdout, name) {
@@ -131,92 +130,19 @@ func Draw() float64 {
 }
 `
 
-// TestJSONReport checks the -json shape on a known-dirty module: the
-// finding appears with module-relative path, new:true, and the report is
-// byte-identical across two consecutive runs.
-func TestJSONReport(t *testing.T) {
+// TestDirtyModuleFails checks the gate itself: an unsuppressed finding
+// prints in file:line:col form and makes the run exit 1.
+func TestDirtyModuleFails(t *testing.T) {
 	chtmpmod(t, map[string]string{"dirty.go": dirtyFixture})
-
-	code, stdout, stderr := capture(t, []string{"-json", "-only", "global-rand"})
+	code, stdout, stderr := capture(t, []string{"-only", "global-rand"})
 	if code != 1 {
 		t.Fatalf("exit = %d, want 1\nstderr:\n%s", code, stderr)
 	}
-	var rep struct {
-		Module   string `json:"module"`
-		New      int    `json:"new"`
-		Findings []struct {
-			File     string `json:"file"`
-			Analyzer string `json:"analyzer"`
-			New      bool   `json:"new"`
-		} `json:"findings"`
+	if !strings.HasPrefix(stdout, "dirty.go:8:9: [global-rand]") {
+		t.Errorf("stdout missing the finding:\n%s", stdout)
 	}
-	if err := json.Unmarshal([]byte(stdout), &rep); err != nil {
-		t.Fatalf("output is not JSON: %v\n%s", err, stdout)
-	}
-	if rep.Module != "tmpmod" || rep.New != 1 || len(rep.Findings) != 1 {
-		t.Fatalf("report = %+v, want module tmpmod with 1 new finding", rep)
-	}
-	if f := rep.Findings[0]; f.File != "dirty.go" || f.Analyzer != "global-rand" || !f.New {
-		t.Errorf("finding = %+v, want dirty.go/global-rand/new", f)
-	}
-
-	_, stdout2, _ := capture(t, []string{"-json", "-only", "global-rand"})
-	if stdout != stdout2 {
-		t.Errorf("-json output differs between two runs:\n--- first ---\n%s\n--- second ---\n%s", stdout, stdout2)
-	}
-}
-
-// TestBaselineRoundTrip drives the CI workflow: a dirty module fails,
-// its own -json report accepted as baseline makes it pass, and a newly
-// introduced finding fails again while the old one prints as baseline.
-func TestBaselineRoundTrip(t *testing.T) {
-	dir := chtmpmod(t, map[string]string{"dirty.go": dirtyFixture})
-
-	if code, _, _ := capture(t, []string{"-only", "global-rand"}); code != 1 {
-		t.Fatalf("dirty module exit = %d, want 1", code)
-	}
-
-	_, report, _ := capture(t, []string{"-json", "-only", "global-rand"})
-	basePath := filepath.Join(dir, "base.json")
-	if err := os.WriteFile(basePath, []byte(report), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	code, stdout, stderr := capture(t, []string{"-baseline", basePath, "-only", "global-rand"})
-	if code != 0 {
-		t.Fatalf("baselined run exit = %d, want 0\nstdout:\n%s\nstderr:\n%s", code, stdout, stderr)
-	}
-	if !strings.Contains(stdout, "(baseline)") {
-		t.Errorf("baselined finding not marked in output:\n%s", stdout)
-	}
-
-	more := dirtyFixture + `
-// DrawInt introduces a second, unbaselined finding.
-func DrawInt() int {
-	return rand.Intn(10)
-}
-`
-	if err := os.WriteFile(filepath.Join(dir, "dirty.go"), []byte(more), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	code, stdout, stderr = capture(t, []string{"-baseline", basePath, "-only", "global-rand"})
-	if code != 1 {
-		t.Fatalf("new-finding run exit = %d, want 1\nstdout:\n%s\nstderr:\n%s", code, stdout, stderr)
-	}
-	if !strings.Contains(stderr, "1 new finding(s) not in baseline") {
-		t.Errorf("stderr missing new-finding count:\n%s", stderr)
-	}
-}
-
-// TestBaselineMissingFileIsUsageError keeps config mistakes loud.
-func TestBaselineMissingFileIsUsageError(t *testing.T) {
-	chtmpmod(t, map[string]string{"dirty.go": dirtyFixture})
-	code, _, stderr := capture(t, []string{"-baseline", "no-such-baseline.json"})
-	if code != 2 {
-		t.Fatalf("exit = %d, want 2", code)
-	}
-	if !strings.Contains(stderr, "baseline") {
-		t.Errorf("stderr missing diagnosis:\n%s", stderr)
+	if !strings.Contains(stderr, "1 unsuppressed finding(s)") {
+		t.Errorf("stderr missing finding count:\n%s", stderr)
 	}
 }
 
@@ -229,119 +155,6 @@ func TestNoMatchingPackages(t *testing.T) {
 		t.Fatalf("exit = %d, want 2", code)
 	}
 	if !strings.Contains(stderr, "no packages match") {
-		t.Errorf("stderr missing diagnosis:\n%s", stderr)
-	}
-}
-
-const leakyFixture = `// Package leaky leaks a cancel func on purpose.
-package leaky
-
-import (
-	"context"
-	"time"
-)
-
-// Deadline discards the CancelFunc.
-func Deadline(parent context.Context) context.Context {
-	ctx, _ := context.WithTimeout(parent, time.Second)
-	return ctx
-}
-`
-
-// TestFixDryRunPrintsDiff checks that -fix -dry-run shows the rewrite as
-// a unified diff, leaves the file untouched, and still exits non-zero.
-func TestFixDryRunPrintsDiff(t *testing.T) {
-	dir := chtmpmod(t, map[string]string{"leaky.go": leakyFixture})
-
-	code, stdout, stderr := capture(t, []string{"-fix", "-dry-run", "-only", "cancel-leak"})
-	if code != 1 {
-		t.Fatalf("exit = %d, want 1\nstderr:\n%s", code, stderr)
-	}
-	for _, want := range []string{"--- a/leaky.go", "+++ b/leaky.go", "+\tdefer cancel()"} {
-		if !strings.Contains(stdout, want) {
-			t.Errorf("dry-run diff missing %q:\n%s", want, stdout)
-		}
-	}
-	data, err := os.ReadFile(filepath.Join(dir, "leaky.go"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(data) != leakyFixture {
-		t.Errorf("-dry-run modified the file:\n%s", data)
-	}
-}
-
-// TestFixRewritesFile checks the write path end to end: the fix lands on
-// disk gofmt-clean, the run exits 0 because nothing unfixed remains, and
-// a second plain run stays clean.
-func TestFixRewritesFile(t *testing.T) {
-	dir := chtmpmod(t, map[string]string{"leaky.go": leakyFixture})
-
-	code, _, stderr := capture(t, []string{"-fix", "-only", "cancel-leak"})
-	if code != 0 {
-		t.Fatalf("exit = %d, want 0\nstderr:\n%s", code, stderr)
-	}
-	if !strings.Contains(stderr, "applied 1 fix(es)") {
-		t.Errorf("stderr missing applied count:\n%s", stderr)
-	}
-	data, err := os.ReadFile(filepath.Join(dir, "leaky.go"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), "ctx, cancel := context.WithTimeout(parent, time.Second)\n\tdefer cancel()") {
-		t.Errorf("fix not applied on disk:\n%s", data)
-	}
-	if code, _, _ := capture(t, []string{"-only", "cancel-leak"}); code != 0 {
-		t.Errorf("fixed module still reports findings (exit %d)", code)
-	}
-	if code, stdout, _ := capture(t, []string{"-fix", "-dry-run", "-only", "cancel-leak"}); code != 0 || stdout != "" {
-		t.Errorf("-fix -dry-run after fixing: exit %d, stdout %q; want clean", code, stdout)
-	}
-}
-
-// TestFixRefusesSuppressed pins the policy that a //shvet:ignore
-// directive outranks -fix.
-func TestFixRefusesSuppressed(t *testing.T) {
-	suppressed := strings.Replace(leakyFixture,
-		"ctx, _ := context.WithTimeout(parent, time.Second)",
-		"ctx, _ := context.WithTimeout(parent, time.Second) //shvet:ignore cancel-leak deadline is the cleanup", 1)
-	dir := chtmpmod(t, map[string]string{"leaky.go": suppressed})
-
-	code, _, stderr := capture(t, []string{"-fix", "-only", "cancel-leak"})
-	if code != 0 {
-		t.Fatalf("exit = %d, want 0 (finding is suppressed)\nstderr:\n%s", code, stderr)
-	}
-	if !strings.Contains(stderr, "fix skipped") || !strings.Contains(stderr, "suppressed") {
-		t.Errorf("stderr missing suppressed-fix refusal:\n%s", stderr)
-	}
-	data, err := os.ReadFile(filepath.Join(dir, "leaky.go"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(data) != suppressed {
-		t.Errorf("-fix modified a suppressed region:\n%s", data)
-	}
-}
-
-// TestDryRunWithoutFixIsUsageError keeps the flag pairing honest.
-func TestDryRunWithoutFixIsUsageError(t *testing.T) {
-	code, _, stderr := capture(t, []string{"-dry-run"})
-	if code != 2 {
-		t.Fatalf("exit = %d, want 2", code)
-	}
-	if !strings.Contains(stderr, "-dry-run") {
-		t.Errorf("stderr missing diagnosis:\n%s", stderr)
-	}
-}
-
-// TestFixJSONConflictIsUsageError: -fix rewrites files, -json promises a
-// pure report; the pair is rejected.
-func TestFixJSONConflictIsUsageError(t *testing.T) {
-	code, _, stderr := capture(t, []string{"-fix", "-json"})
-	if code != 2 {
-		t.Fatalf("exit = %d, want 2", code)
-	}
-	if !strings.Contains(stderr, "-fix and -json") {
 		t.Errorf("stderr missing diagnosis:\n%s", stderr)
 	}
 }

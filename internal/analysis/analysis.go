@@ -14,9 +14,8 @@ type Finding struct {
 	Pos        token.Position
 	Analyzer   string
 	Message    string
-	Suppressed bool          // true when a //shvet:ignore directive covers it
-	Reason     string        // suppression reason, when Suppressed
-	Fix        *SuggestedFix // machine-applicable repair, when the analyzer has one
+	Suppressed bool   // true when a //shvet:ignore directive covers it
+	Reason     string // suppression reason, when Suppressed
 }
 
 // String renders the finding in the canonical file:line:col form.
@@ -97,7 +96,6 @@ func All() []*Analyzer {
 		AnalyzerMapOrder,
 		AnalyzerFloatEq,
 		AnalyzerUncheckedErr,
-		AnalyzerSyncCopy,
 		AnalyzerDocComment,
 		AnalyzerLockBalance,
 		AnalyzerNondetFlow,
@@ -107,10 +105,6 @@ func All() []*Analyzer {
 		AnalyzerStringChurn,
 		AnalyzerDeferInLoop,
 		AnalyzerBoxing,
-		AnalyzerCancelLeak,
-		AnalyzerBodyClose,
-		AnalyzerTimerStop,
-		AnalyzerHandlerContract,
 	}
 }
 

@@ -5,7 +5,7 @@
 // to the failure modes that silently break determinism or correctness in
 // numeric Go code.
 //
-// The eighteen analyzers:
+// The thirteen analyzers:
 //
 //   - global-rand: uses of top-level math/rand functions (rand.Float64,
 //     rand.Shuffle, ...) that draw from the process-global source instead
@@ -21,9 +21,6 @@
 //     from a non-fmt call. Deferred calls, go statements, fmt.*, and the
 //     always-nil writers (strings.Builder, bytes.Buffer) are exempt;
 //     assign to _ to discard explicitly.
-//   - sync-copy: function signatures that pass or return sync.Mutex,
-//     sync.RWMutex, sync.WaitGroup, sync.Once, sync.Cond, sync.Map or
-//     sync.Pool by value (directly or embedded in a struct/array).
 //   - doc-comment: exported package-level identifiers without a doc
 //     comment, and packages without a package comment. Group comments,
 //     end-of-line spec comments and methods on unexported receivers are
@@ -60,39 +57,6 @@
 //   - boxing (module-level, hot region only): non-constant numeric or
 //     boolean values passed to interface-typed parameters inside hot
 //     loops, heap-boxing one value per iteration.
-//   - cancel-leak (module-level): context.CancelFuncs that are discarded
-//     with _, shadowed by a redeclaration, or not called/deferred on
-//     every return path out of the acquiring scope; defer cancel()
-//     inside a loop is flagged too, since it runs at function exit.
-//     Handing the context/cancel pair to a callee or returning it
-//     transfers the obligation and is not flagged.
-//   - body-close (module-level): http.Response bodies not closed on
-//     every path past the error check, or discarded at the call site.
-//     Interprocedural: a response handed to a helper is resolved
-//     through the call graph (depth-bounded) to see whether the helper
-//     closes it on the caller's behalf.
-//   - timer-stop (module-level): time.NewTicker/time.NewTimer acquired
-//     in a long-lived goroutine that never calls Stop and has no
-//     external exit signal (no context, no non-timer channel bounding
-//     the loop), and time.After inside loops (one orphan timer per
-//     iteration).
-//   - handler-contract (module-level): http.Handler bodies that write
-//     the header twice on one path or set a status after the body has
-//     started — helper calls are resolved interprocedurally, so a
-//     WriteHeader buried in a sendError helper is caught — and
-//     hot-region handler loops that neither check r.Context() nor run
-//     behind the admission gate.
-//
-// The resource-lifecycle analyzers (cancel-leak, body-close,
-// timer-stop) share a resource-flow walker (resflow.go) that tracks an
-// acquisition through branches, loops, defers, and rebinding, crediting
-// a release only when every falling path reaches one; any use the
-// walker cannot model (escape to a field, channel, or return value)
-// disqualifies the acquisition silently. Where the repair is
-// unambiguous these analyzers attach a SuggestedFix (insert a deferred
-// release, name a discarded CancelFunc); ApplyFixes applies them with
-// suppression refusal, atomic overlap rejection, and a gofmt
-// round-trip, and cmd/shvet exposes the engine as -fix / -fix -dry-run.
 //
 // The four performance-cost analyzers report only inside the hot region:
 // the call-graph closure of the exported Predict*/Infer*/Featurize*/

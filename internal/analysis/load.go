@@ -39,6 +39,7 @@ type Loader struct {
 	ModPath string
 	Fset    *token.FileSet
 
+	dir      string // absolute directory patterns resolve against
 	std      types.Importer
 	base     map[string]*types.Package // import cache: non-test variant
 	checking map[string]bool           // cycle guard for ensureBase
@@ -71,8 +72,13 @@ func FindModuleRoot(dir string) (root, modpath string, err error) {
 	}
 }
 
-// NewLoader returns a loader rooted at the module containing dir.
+// NewLoader returns a loader rooted at the module containing dir;
+// Load's patterns resolve relative to dir.
 func NewLoader(dir string) (*Loader, error) {
+	dir, err := filepath.Abs(dir)
+	if err != nil {
+		return nil, err
+	}
 	root, modpath, err := FindModuleRoot(dir)
 	if err != nil {
 		return nil, err
@@ -82,6 +88,7 @@ func NewLoader(dir string) (*Loader, error) {
 		ModRoot:  root,
 		ModPath:  modpath,
 		Fset:     fset,
+		dir:      dir,
 		std:      importer.ForCompiler(fset, "source", nil),
 		base:     map[string]*types.Package{},
 		checking: map[string]bool{},
@@ -89,14 +96,21 @@ func NewLoader(dir string) (*Loader, error) {
 	}, nil
 }
 
-// Load type-checks every package under the module root and returns the
-// augmented packages plus any external test packages, sorted by import
-// path. Directories named testdata or vendor and hidden/underscore
-// directories are skipped, as the go tool does.
-func (l *Loader) Load() ([]*Package, error) {
+// Load type-checks the packages under the module root whose directory
+// matches a pattern and returns the augmented packages plus any external
+// test packages, sorted by import path. Patterns follow the go tool's
+// shape — "./..." for a subtree, "./internal/ml" for one directory — and
+// resolve relative to the loader's directory; with no pattern every
+// package is loaded. Unmatched packages are type-checked only as far as
+// a matched one imports them. Directories named testdata or vendor and
+// hidden/underscore directories are skipped, as the go tool does.
+func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 	dirs, err := l.discover()
 	if err != nil {
 		return nil, err
+	}
+	if len(patterns) > 0 {
+		dirs = matchDirs(dirs, patterns, l.dir)
 	}
 	var out []*Package
 	for _, dir := range dirs {
@@ -133,6 +147,40 @@ func (l *Loader) discover() ([]string, error) {
 		return nil
 	})
 	return dirs, err
+}
+
+// matchDirs keeps the directories that match any pattern, resolved
+// relative to base.
+func matchDirs(dirs, patterns []string, base string) []string {
+	type rule struct {
+		dir     string
+		subtree bool
+	}
+	var rules []rule
+	for _, p := range patterns {
+		subtree := false
+		if p == "..." || strings.HasSuffix(p, "/...") {
+			subtree = true
+			p = strings.TrimSuffix(strings.TrimSuffix(p, "..."), "/")
+			if p == "" {
+				p = "."
+			}
+		}
+		if !filepath.IsAbs(p) {
+			p = filepath.Join(base, p)
+		}
+		rules = append(rules, rule{dir: filepath.Clean(p), subtree: subtree})
+	}
+	var out []string
+	for _, dir := range dirs {
+		for _, r := range rules {
+			if dir == r.dir || (r.subtree && strings.HasPrefix(dir+string(filepath.Separator), r.dir+string(filepath.Separator))) {
+				out = append(out, dir)
+				break
+			}
+		}
+	}
+	return out
 }
 
 // importPath maps a directory under the module root to its import path.

@@ -34,6 +34,12 @@ func (c *Counter) NeverUnlocked() {
 	c.n++
 }
 
+// NeverUnlockedCopy locks a mutex received by value and falls off the
+// end: the finding tracks a bare identifier, not only a field selector.
+func NeverUnlockedCopy(mu sync.Mutex) {
+	mu.Lock() // want lock-balance
+}
+
 // SleepUnderLock holds the lock across a sleep.
 func (c *Counter) SleepUnderLock() {
 	c.mu.Lock()

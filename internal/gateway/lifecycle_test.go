@@ -9,8 +9,7 @@ import (
 	"time"
 )
 
-// This file pins the gateway's resource-lifecycle invariants — the ones
-// the shvet body-close and timer-stop analyzers guard statically — with
+// This file pins the gateway's resource-lifecycle invariants with
 // runtime regression tests: every response body the forwarding client
 // ever receives is closed (hedge losers included, whose attempts are
 // dropped from a buffered channel after the winner answers), and the
