@@ -6,10 +6,10 @@ GO ?= go
 # The serve-path benchmark set shared by bench-run/bench-snapshot/bench-gate
 # and profile: everything the benchmark-regression gate watches. Fixed
 # -benchtime keeps allocs/op and B/op reproducible across machines.
-BENCH_SET  = ^(BenchmarkServeInfer|BenchmarkFeaturizeColumn|BenchmarkStatsCompute|BenchmarkTreePredict)$$
+BENCH_SET  = ^(BenchmarkServeInfer|BenchmarkFeaturizeColumn|BenchmarkStatsCompute|BenchmarkTreePredict|BenchmarkDecode|BenchmarkColumnHash)$$
 BENCH_TIME = 100x
 
-.PHONY: build test race vet shvet check bench smoke smoke-fleet profile \
+.PHONY: build test race vet shvet fmt check bench smoke smoke-fleet profile \
 	chaos soak bench-run bench-snapshot bench-gate bench-gate-trace \
 	bench-check fuzz-short
 
@@ -36,7 +36,13 @@ vet:
 shvet:
 	$(GO) run ./cmd/shvet ./...
 
-check: build vet shvet test race bench-check
+# gofmt over every tracked Go file outside testdata; fails when any file
+# is not gofmt-clean (listing the files) or does not parse.
+fmt:
+	@out=$$(gofmt -l $$(git ls-files '*.go' | grep -v '/testdata/')) || exit 1; \
+	if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
+
+check: build fmt vet shvet test race bench-check
 
 # The end-to-end benchmark under bench/ is its own module, so neither
 # `go build ./...` nor `go test ./...` at the root compiles it. This vets
@@ -48,10 +54,14 @@ bench-check:
 # A short pass of every native fuzz target: each runs its committed seed
 # corpus (testdata/fuzz/) and then mutates for 10 s. The targets
 # compare the single-pass cell scanner and the missing-token fast path
-# with their multi-pass reference formulations.
+# with their multi-pass reference formulations, the one-pass /v1/infer
+# decoder with encoding/json, and check the traceparent parser never
+# panics and round-trips what it accepts.
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzComputeMatchesReference$$' -fuzztime 10s ./internal/stats
 	$(GO) test -run '^$$' -fuzz '^FuzzIsMissingMatchesReference$$' -fuzztime 10s ./internal/data
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMatchesJSON$$' -fuzztime 10s ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzParseTraceparent$$' -fuzztime 10s ./internal/obs
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .

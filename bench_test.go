@@ -444,6 +444,78 @@ func BenchmarkServeInfer(b *testing.B) {
 	})
 }
 
+// heldOutBodies encodes the first 256 held-out-corpus columns as 32
+// /v1/infer bodies of 8 columns each, the way bench/ encodes its ingest
+// tables (json.Marshal of a serve.InferRequest).
+func heldOutBodies(b *testing.B) [][]byte {
+	corpus := heldOutCorpus()[:32*8]
+	var bodies [][]byte
+	for i := 0; i+8 <= len(corpus); i += 8 {
+		req := serve.InferRequest{Columns: make([]serve.InferColumn, 8)}
+		for j := range req.Columns {
+			c := &corpus[i+j].Column
+			req.Columns[j] = serve.InferColumn{Name: c.Name, Values: c.Values}
+		}
+		body, err := json.Marshal(req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		bodies = append(bodies, body)
+	}
+	return bodies
+}
+
+// BenchmarkDecode measures the serve.decode layer: one /v1/infer body of
+// 8 held-out-corpus columns per op, decoded by the one-pass decoder both
+// tiers use, into a reused copy of the body since it decodes in place.
+// It reports MB/s of request body.
+func BenchmarkDecode(b *testing.B) {
+	bodies := heldOutBodies(b)
+	var buf []byte
+	total := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		body := bodies[i%len(bodies)]
+		buf = append(buf[:0], body...)
+		if _, err := serve.DecodeInferRequest(buf); err != nil {
+			b.Fatal(err)
+		}
+		total += len(body)
+	}
+	b.ReportMetric(float64(total)/1e6/b.Elapsed().Seconds(), "MB/s")
+}
+
+// BenchmarkColumnHash measures the serve.hash layer: one serve.ColumnHash
+// per op over BenchmarkDecode's columns as the decoder leaves them
+// (contiguous in their request body, as the serve path hashes them). It
+// reports MB/s of hashed name and cell bytes.
+func BenchmarkColumnHash(b *testing.B) {
+	var cols []data.Column
+	for _, body := range heldOutBodies(b) {
+		decoded, err := serve.DecodeInferRequest(bytes.Clone(body))
+		if err != nil {
+			b.Fatal(err)
+		}
+		cols = append(cols, decoded...)
+	}
+	total := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		col := &cols[i%len(cols)]
+		hashSink = serve.ColumnHash(col)
+		total += len(col.Name)
+		for _, v := range col.Values {
+			total += len(v)
+		}
+	}
+	b.ReportMetric(float64(total)/1e6/b.Elapsed().Seconds(), "MB/s")
+}
+
+// hashSink keeps the compiler from discarding the measured call.
+var hashSink [16]byte
+
 func sizeName(prefix string, n int) string {
 	const digits = "0123456789"
 	if n == 0 {

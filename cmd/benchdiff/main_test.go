@@ -241,7 +241,7 @@ func TestUsageErrors(t *testing.T) {
 	dir := t.TempDir()
 	in := writeFile(t, dir, "bench.txt", sampleOut)
 	for _, args := range [][]string{
-		{"-input", in},                                        // neither -baseline nor -update
+		{"-input", in}, // neither -baseline nor -update
 		{"-update", filepath.Join(dir, "x.json"), "-input", in}, // -update without -label
 		{"-baseline", filepath.Join(dir, "absent.json"), "-input", in},
 		{"-baseline", in, "-input", in}, // not JSON

@@ -121,6 +121,8 @@ func (g *Gateway) dispatchGroup(ctx context.Context, gr *group) groupResult {
 
 	order := g.candidates(gr.owner)
 	attempts := make(chan shardAttempt, len(order))
+	// Encoded once; every leg below sends these same bytes.
+	body := serve.AppendInferRequest(nil, gr.cols)
 	inflight, next := 0, 0
 	res := groupResult{replica: -1}
 	launch := func(speculative bool) bool {
@@ -147,7 +149,7 @@ func (g *Gateway) dispatchGroup(ctx context.Context, gr *group) groupResult {
 				continue
 			}
 			inflight++
-			go g.forward(gctx, r, gr.cols, attempts)
+			go g.forward(gctx, r, body, len(gr.cols), attempts)
 			return true
 		}
 		return false
@@ -274,12 +276,12 @@ func localFallback(col *data.Column) serve.InferPrediction {
 	}
 }
 
-// forward sends one group to one replica as a POST /v1/infer sub-request
-// and reports the outcome. Panics (possible via injected faults) are
-// converted to errors so one bad attempt can't take the gateway down.
-// The caller acquired a slot on the replica's concurrency limiter;
-// forward owns releasing it.
-func (g *Gateway) forward(ctx context.Context, ri int, cols []data.Column, out chan<- shardAttempt) {
+// forward sends one group's encoded body (ncols columns) to one replica
+// as a POST /v1/infer sub-request and reports the outcome. Panics
+// (possible via injected faults) are converted to errors so one bad
+// attempt can't take the gateway down. The caller acquired a slot on the
+// replica's concurrency limiter; forward owns releasing it.
+func (g *Gateway) forward(ctx context.Context, ri int, body []byte, ncols int, out chan<- shardAttempt) {
 	r := g.replicas[ri]
 	defer r.limiter.Release()
 	r.requests.Add(1)
@@ -297,7 +299,7 @@ func (g *Gateway) forward(ctx context.Context, ri int, cols []data.Column, out c
 		if err := g.inject("forward@" + r.label); err != nil {
 			return nil, err
 		}
-		resp, meta, err = g.postInfer(fctx, r.addr, cols)
+		resp, meta, err = g.postInfer(fctx, r.addr, body, ncols)
 		return resp, err
 	}()
 	if err != nil {
@@ -334,19 +336,11 @@ type shardMeta struct {
 // evidence against the replica.
 var errBudgetSpent = fmt.Errorf("gateway: request budget spent before forwarding")
 
-// postInfer performs the sub-request: the group's columns as a standard
-// /v1/infer batch against one replica, with the remaining request
+// postInfer performs the sub-request: the group's encoded /v1/infer
+// batch of ncols columns against one replica, with the remaining request
 // budget propagated via X-Deadline-Ms so the replica never works on an
 // answer the gateway has stopped waiting for.
-func (g *Gateway) postInfer(ctx context.Context, addr string, cols []data.Column) (*serve.InferResponse, shardMeta, error) {
-	req := serve.InferRequest{Columns: make([]serve.InferColumn, len(cols))}
-	for i, c := range cols {
-		req.Columns[i] = serve.InferColumn{Name: c.Name, Values: c.Values}
-	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil, shardMeta{}, fmt.Errorf("encoding shard request: %w", err)
-	}
+func (g *Gateway) postInfer(ctx context.Context, addr string, body []byte, ncols int) (*serve.InferResponse, shardMeta, error) {
 	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, addr+"/v1/infer", bytes.NewReader(body))
 	if err != nil {
 		return nil, shardMeta{}, err
@@ -390,8 +384,8 @@ func (g *Gateway) postInfer(ctx context.Context, addr string, cols []data.Column
 	if err := json.NewDecoder(httpResp.Body).Decode(&resp); err != nil {
 		return nil, shardMeta{}, fmt.Errorf("decoding shard response: %w", err)
 	}
-	if len(resp.Predictions) != len(cols) {
-		return nil, shardMeta{}, fmt.Errorf("replica answered %d predictions for %d columns", len(resp.Predictions), len(cols))
+	if len(resp.Predictions) != ncols {
+		return nil, shardMeta{}, fmt.Errorf("replica answered %d predictions for %d columns", len(resp.Predictions), ncols)
 	}
 	return &resp, shardMeta{}, nil
 }

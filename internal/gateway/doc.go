@@ -6,14 +6,17 @@
 //
 // # Routing
 //
-// Every column is routed by content, not by connection: the gateway
-// computes the same 128-bit FNV-1a content hash the daemon uses for its
-// prediction cache key (serve.ColumnHash), takes the first 8 bytes as a
-// ring key, and looks the owner up on a consistent-hash ring of replica
-// addresses (Ring). Identical columns therefore always land on the same
-// replica, so each replica's prediction cache holds a disjoint shard of
-// the column space and fleet-wide cache capacity scales with replica
-// count instead of duplicating entries everywhere.
+// The gateway decodes a /v1/infer batch with the daemon's one-pass
+// decoder (serve.ReadInferRequest). Every column is routed by content,
+// not by connection: the gateway computes the same 128-bit content hash
+// the daemon uses for its prediction cache key (serve.ColumnHash,
+// MurmurHash3 x64_128 with a fixed seed over the length-prefixed name
+// and cells), takes the first 8 bytes as a ring key, and looks the owner
+// up on a consistent-hash ring of replica addresses (Ring). Identical
+// columns therefore always land on the same replica, so each replica's
+// prediction cache holds a disjoint shard of the column space and
+// fleet-wide cache capacity scales with replica count instead of
+// duplicating entries everywhere.
 //
 // # Health and failover
 //
@@ -30,10 +33,11 @@
 // hedge/failover loop: the first candidate is fired immediately, a hedge
 // fires the next candidate if no answer arrives within the hedge delay,
 // and an error fires the next candidate at once. The first success wins
-// and cancels the rest. If every candidate is down or fails, the gateway
-// answers the group locally from the paper's rule-based baseline
-// (resilience/rulefallback), tagged degraded — the fleet's last resort
-// mirrors the daemon's.
+// and cancels the rest. A group's sub-request body is encoded once
+// (serve.AppendInferRequest), and all of its legs send those bytes. If
+// every candidate is down or fails, the gateway answers the group
+// locally from the paper's rule-based baseline (resilience/rulefallback),
+// tagged degraded — the fleet's last resort mirrors the daemon's.
 //
 // # Model versions
 //

@@ -14,7 +14,8 @@ import (
 	"sortinghat/internal/serve"
 )
 
-// maxRequestBody bounds request bodies, matching the daemon's limit.
+// maxRequestBody bounds CSV request bodies, matching the daemon's limit
+// (serve.ReadInferRequest applies the same bound to JSON bodies).
 const maxRequestBody = 64 << 20
 
 // BatchResponse is the JSON body answering the gateway's POST /v1/infer
@@ -136,7 +137,8 @@ func writeError(w http.ResponseWriter, status int, msg string) {
 	writeJSON(w, status, errorResponse{Error: msg})
 }
 
-// handleInfer decodes a JSON batch and shards it across the fleet.
+// handleInfer decodes a JSON batch with the daemon's decoder
+// (serve.ReadInferRequest) and shards it across the fleet.
 func (g *Gateway) handleInfer(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
@@ -152,21 +154,11 @@ func (g *Gateway) handleInfer(w http.ResponseWriter, r *http.Request) {
 	span.SetAttr("request_id", obs.RequestIDFrom(ctx))
 	defer span.End()
 
-	var req serve.InferRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
-	if err := dec.Decode(&req); err != nil {
+	cols, status, err := serve.ReadInferRequest(w, r)
+	if err != nil {
 		g.met.requestErrors.Add(1)
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds "+strconv.FormatInt(tooLarge.Limit, 10)+" bytes")
-			return
-		}
-		writeError(w, http.StatusBadRequest, "decoding request: "+err.Error())
+		writeError(w, status, err.Error())
 		return
-	}
-	cols := make([]data.Column, len(req.Columns))
-	for i, c := range req.Columns {
-		cols[i] = data.Column{Name: c.Name, Values: c.Values}
 	}
 	g.serveBatch(w, ctx, span, start, r.URL.Path, r.Header.Get(serve.DeadlineHeader), cols)
 }

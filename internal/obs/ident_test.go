@@ -189,3 +189,28 @@ func TestNilSpanContext(t *testing.T) {
 	var tr *Tracer
 	tr.SeedIDs(1) // must not panic
 }
+
+// FuzzParseTraceparent fuzzes the parser of the untrusted traceparent
+// header every request passes through: it must never panic, and any
+// header it accepts must name a context that survives a render and
+// re-parse unchanged (ParseTraceparent(sc.Traceparent()) == sc), with
+// non-zero trace and span ids.
+func FuzzParseTraceparent(f *testing.F) {
+	f.Add("00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01")
+	f.Fuzz(func(t *testing.T, header string) {
+		sc, ok := ParseTraceparent(header)
+		if !ok {
+			if !sc.IsZero() || !sc.SpanID.IsZero() {
+				t.Fatalf("ParseTraceparent(%q) rejected but returned %+v", header, sc)
+			}
+			return
+		}
+		if sc.TraceID.IsZero() || sc.SpanID.IsZero() {
+			t.Fatalf("ParseTraceparent(%q) accepted a zero id: %+v", header, sc)
+		}
+		back, ok := ParseTraceparent(sc.Traceparent())
+		if !ok || back != sc {
+			t.Fatalf("ParseTraceparent(%q) = %+v, but its rendering %q re-parses to %+v, %v", header, sc, sc.Traceparent(), back, ok)
+		}
+	})
+}

@@ -11,51 +11,168 @@ import (
 	"sortinghat/internal/data"
 )
 
-// cacheKey is the 128-bit FNV-1a content hash of one raw column.
+// cacheKey is the 128-bit content hash of one raw column (columnKey).
 type cacheKey [16]byte
 
-// fnv128a is 128-bit FNV-1a unrolled by hand, bit-identical to the stdlib
-// hash/fnv stream (TestColumnKeyMatchesStdlibFNV pins this). The stdlib
-// hash only accepts []byte, which forced a copy of every cell value on the
-// serve hot path; this state hashes strings in place and lives on the
-// caller's stack.
-type fnv128a struct{ hi, lo uint64 }
+// colHash is MurmurHash3 x64_128 with seed 0 over a column's framed
+// byte stream (see columnKey), streamed: each length prefix and string is
+// appended to a small block buffer on the caller's stack, and full
+// buffers are mixed 16 bytes per step in one tight loop. Appending a cell
+// costs an 8-byte store for the prefix and two overlapping word stores
+// for its bytes, so short cells do not pay a call and a multiply per
+// byte as byte-at-a-time FNV did. The result is bit-identical to the reference MurmurHash3_x64_128
+// of the concatenated stream (TestColumnKeyMatchesReference pins this).
+// The seed is a constant, not per process like hash/maphash: the gateway
+// routes by this hash and each replica keys its cache by it, so every
+// process must agree.
+type colHash struct {
+	h1, h2 uint64
+	total  uint64 // bytes consumed so far
+	n      int    // bytes pending in buf, at most hashBufLen
+	buf    [hashBufLen]byte
+}
 
-// FNV-128a parameters from hash/fnv: the offset basis split into two
-// 64-bit words, and the low word + shift encoding of the 128-bit prime
-// 2^88 + 2^8 + 0x3b.
+// hashBufLen is how many stream bytes colHash buffers between flushes.
+const hashBufLen = 256
+
+// MurmurHash3 x64_128 multiplication constants.
 const (
-	fnv128OffsetHi   = 0x6c62272e07bb0142
-	fnv128OffsetLo   = 0x62b821756295c58d
-	fnv128PrimeLower = 0x13b
-	fnv128PrimeShift = 24
+	murmurC1 = 0x87c37b91114253d5
+	murmurC2 = 0x4cf5ad432745937f
 )
 
-func newFNV128a() fnv128a { return fnv128a{hi: fnv128OffsetHi, lo: fnv128OffsetLo} }
-
-func (h *fnv128a) writeByte(c byte) {
-	h.lo ^= uint64(c)
-	s0, s1 := bits.Mul64(fnv128PrimeLower, h.lo)
-	s0 += h.lo<<fnv128PrimeShift + fnv128PrimeLower*h.hi
-	h.hi, h.lo = s0, s1
+// writeString feeds s preceded by its big-endian 8-byte length: the
+// length-prefixed framing columnKey defines.
+func (h *colHash) writeString(s string) {
+	h.total += 8 + uint64(len(s))
+	if h.n+8+len(s) > hashBufLen {
+		h.writeSlow(s)
+		return
+	}
+	b := h.buf[h.n:]
+	binary.BigEndian.PutUint64(b, uint64(len(s)))
+	b = b[8:]
+	// Strings up to 16 bytes, most cells, are moved as two overlapping
+	// loads and stores each instead of a copy call.
+	switch n := len(s); {
+	case n > 16:
+		copy(b, s)
+	case n >= 8:
+		binary.LittleEndian.PutUint64(b, le64(s))
+		binary.LittleEndian.PutUint64(b[n-8:], le64(s[n-8:]))
+	case n >= 4:
+		binary.LittleEndian.PutUint32(b, le32(s))
+		binary.LittleEndian.PutUint32(b[n-4:], le32(s[n-4:]))
+	case n > 0:
+		b[0], b[n/2], b[n-1] = s[0], s[n/2], s[n-1]
+	}
+	h.n += 8 + len(s)
 }
 
-// writeString hashes s preceded by its big-endian 8-byte length, matching
-// the length-prefixed framing columnKey has always used.
-func (h *fnv128a) writeString(s string) {
-	n := uint64(len(s))
-	for shift := 56; shift >= 0; shift -= 8 {
-		h.writeByte(byte(n >> shift))
-	}
-	for i := 0; i < len(s); i++ {
-		h.writeByte(s[i])
+// writeSlow is writeString when the prefix and s overflow buf: it
+// flushes first, and again each time buf fills.
+func (h *colHash) writeSlow(s string) {
+	h.flush()
+	binary.BigEndian.PutUint64(h.buf[h.n:], uint64(len(s)))
+	h.n += 8
+	for {
+		c := copy(h.buf[h.n:hashBufLen], s)
+		h.n += c
+		if c == len(s) {
+			return
+		}
+		s = s[c:]
+		h.flush()
 	}
 }
 
-func (h *fnv128a) sum() cacheKey {
+// le64 and le32 read the first 8 or 4 bytes of s as a little-endian word.
+func le64(s string) uint64 {
+	_ = s[7]
+	return uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
+		uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
+}
+
+func le32(s string) uint32 {
+	_ = s[3]
+	return uint32(s[0]) | uint32(s[1])<<8 | uint32(s[2])<<16 | uint32(s[3])<<24
+}
+
+// flush mixes every complete 16-byte block of buf and moves the
+// remainder (under 16 bytes) to its front.
+func (h *colHash) flush() {
+	h1, h2 := h.h1, h.h2
+	blocks := h.buf[:h.n&^15]
+	for len(blocks) >= 16 {
+		k1 := binary.LittleEndian.Uint64(blocks)
+		k2 := binary.LittleEndian.Uint64(blocks[8:])
+		blocks = blocks[16:]
+
+		k1 *= murmurC1
+		k1 = bits.RotateLeft64(k1, 31)
+		k1 *= murmurC2
+		h1 ^= k1
+		h1 = bits.RotateLeft64(h1, 27)
+		h1 += h2
+		h1 = h1*5 + 0x52dce729
+
+		k2 *= murmurC2
+		k2 = bits.RotateLeft64(k2, 33)
+		k2 *= murmurC1
+		h2 ^= k2
+		h2 = bits.RotateLeft64(h2, 31)
+		h2 += h1
+		h2 = h2*5 + 0x38495ab5
+	}
+	h.h1, h.h2 = h1, h2
+	h.n = copy(h.buf[:], h.buf[h.n&^15:h.n])
+}
+
+// sum mixes the pending tail and the length in, Murmur's finalization,
+// and returns h1 then h2 as little-endian bytes (the byte order of the
+// published MurmurHash3_x64_128 digests).
+func (h *colHash) sum() cacheKey {
+	h.flush()
+	var k1, k2 uint64
+	for i := h.n - 1; i >= 0; i-- {
+		if i >= 8 {
+			k2 = k2<<8 | uint64(h.buf[i])
+		} else {
+			k1 = k1<<8 | uint64(h.buf[i])
+		}
+	}
+	h1, h2 := h.h1, h.h2
+	if h.n > 8 {
+		k2 *= murmurC2
+		k2 = bits.RotateLeft64(k2, 33)
+		h2 ^= k2 * murmurC1
+	}
+	if h.n > 0 {
+		k1 *= murmurC1
+		k1 = bits.RotateLeft64(k1, 31)
+		h1 ^= k1 * murmurC2
+	}
+	h1 ^= h.total
+	h2 ^= h.total
+	h1 += h2
+	h2 += h1
+	h1 = fmix64(h1)
+	h2 = fmix64(h2)
+	h1 += h2
+	h2 += h1
 	var k cacheKey
-	binary.BigEndian.PutUint64(k[:8], h.hi)
-	binary.BigEndian.PutUint64(k[8:], h.lo)
+	binary.LittleEndian.PutUint64(k[:8], h1)
+	binary.LittleEndian.PutUint64(k[8:], h2)
+	return k
+}
+
+// fmix64 is Murmur's 64-bit finalization mix.
+func fmix64(k uint64) uint64 {
+	k ^= k >> 33
+	k *= 0xff51afd7ed558ccd
+	k ^= k >> 33
+	k *= 0xc4ceb9fe1a85ec53
+	k ^= k >> 33
 	return k
 }
 
@@ -65,7 +182,7 @@ func (h *fnv128a) sum() cacheKey {
 // values key differently (the attribute name feeds the model's bigram
 // features, so it must be part of the identity).
 func columnKey(col *data.Column) cacheKey {
-	h := newFNV128a()
+	var h colHash
 	h.writeString(col.Name)
 	for _, v := range col.Values {
 		h.writeString(v)
@@ -73,12 +190,13 @@ func columnKey(col *data.Column) cacheKey {
 	return h.sum()
 }
 
-// ColumnHash returns the 128-bit FNV-1a content hash of a column: the
-// same hash the prediction cache keys on, minus the model-version
-// component. The gateway tier (internal/gateway) routes columns across
-// replicas by this hash, so gateway shard ownership and replica cache
-// identity agree by construction — a column always lands on the replica
-// whose LRU already holds it.
+// ColumnHash returns the 128-bit content hash of a column (MurmurHash3
+// x64_128 over its length-prefixed name and cells): the same hash the
+// prediction cache keys on, minus the model-version component. The
+// gateway tier (internal/gateway) routes columns across replicas by this
+// hash, so gateway shard ownership and replica cache identity agree by
+// construction — a column always lands on the replica whose LRU already
+// holds it.
 func ColumnHash(col *data.Column) [16]byte { return columnKey(col) }
 
 // versionedKey is the full prediction-cache key: the column's content

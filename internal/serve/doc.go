@@ -6,13 +6,20 @@
 // column of a table at once — mirroring how platforms ingest whole CSVs
 // and amortising request overhead across a table's columns.
 //
-// The serving hot path is base featurization (descriptive statistics from
-// internal/stats plus attribute-name bigram hashing from
+// A request's body is read once and decoded in one pass
+// (ReadInferRequest, wire.go): a hand-written decoder for the fixed
+// InferRequest shape that leaves every name and cell as a substring of
+// the body, one allocation per request instead of one per cell, and
+// accepts exactly what encoding/json would (FuzzDecodeMatchesJSON). The
+// serving hot path is then base featurization (descriptive statistics
+// from internal/stats plus attribute-name bigram hashing from
 // internal/featurize; Section 2.3 of the paper) followed by model
 // prediction. A Server parallelises that path across the columns of a
 // request on a bounded worker pool shared by all requests, and skips it
 // entirely for columns it has seen before via an LRU cache keyed by a
-// 128-bit content hash of the column (attribute name + cell values).
+// 128-bit content hash of the column (ColumnHash: MurmurHash3 x64_128
+// with a fixed seed over the length-prefixed attribute name and cell
+// values, streamed 16 bytes per step).
 // Caching is sound because serving uses the deterministic featurizer
 // (featurize.ExtractFirstN, the same one Pipeline.Predict uses): equal
 // column content always yields equal features, so a cached prediction is

@@ -27,7 +27,9 @@ const maxRequestBody = 64 << 20
 const DeadlineHeader = "X-Deadline-Ms"
 
 // InferRequest is the JSON body of POST /v1/infer: a batch of raw
-// columns, typically every column of one ingested table.
+// columns, typically every column of one ingested table. Clients encode
+// it; the daemon and the gateway decode it with ReadInferRequest, which
+// accepts exactly what encoding/json does for this type.
 type InferRequest struct {
 	Columns []InferColumn `json:"columns"`
 }
@@ -191,8 +193,8 @@ func writeError(w http.ResponseWriter, status int, msg string) {
 	writeJSON(w, status, errorResponse{Error: msg})
 }
 
-// handleInfer decodes a JSON batch, runs it through the worker pool, and
-// answers with per-column predictions.
+// handleInfer decodes a JSON batch (ReadInferRequest), runs it through
+// the worker pool, and answers with per-column predictions.
 func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
@@ -208,21 +210,11 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	span.SetAttr("request_id", obs.RequestIDFrom(ctx))
 	defer span.End()
 
-	var req InferRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
-	if err := dec.Decode(&req); err != nil {
+	cols, status, err := ReadInferRequest(w, r)
+	if err != nil {
 		s.met.requestErrors.Add(1)
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds "+strconv.FormatInt(tooLarge.Limit, 10)+" bytes")
-			return
-		}
-		writeError(w, http.StatusBadRequest, "decoding request: "+err.Error())
+		writeError(w, status, err.Error())
 		return
-	}
-	cols := make([]data.Column, len(req.Columns))
-	for i, c := range req.Columns {
-		cols[i] = data.Column{Name: c.Name, Values: c.Values}
 	}
 	s.serveBatch(w, ctx, span, start, r.URL.Path, r.Header.Get(DeadlineHeader), cols)
 }

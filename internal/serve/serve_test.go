@@ -6,15 +6,16 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"log/slog"
+	"math/bits"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
 	"strings"
 	"sync"
 	"testing"
+	"testing/quick"
 	"time"
 
 	"sortinghat/internal/core"
@@ -251,33 +252,132 @@ func TestCacheKeyDistinguishesNameAndContent(t *testing.T) {
 	}
 }
 
-// TestColumnKeyMatchesStdlibFNV pins the hand-unrolled 128-bit FNV-1a in
-// cache.go to the stdlib stream it replaced: fnv.New128a fed each string
-// preceded by its big-endian 8-byte length. Any drift would silently
-// invalidate (or worse, cross-wire) every cached prediction.
-func TestColumnKeyMatchesStdlibFNV(t *testing.T) {
-	cols := []data.Column{
-		{Name: "", Values: nil},
-		{Name: "age", Values: []string{"ab", "c"}},
-		{Name: "zip", Values: []string{"", "02139", "Ärzte", "a\x00b"}},
-		{Name: "long", Values: []string{strings.Repeat("x", 300)}},
+// murmur3Reference is MurmurHash3_x64_128 with seed 0 written plainly
+// from the published algorithm over one byte slice: the specification
+// the streamed colHash in cache.go must reproduce. It returns h1 then h2
+// as little-endian bytes.
+func murmur3Reference(data []byte) cacheKey {
+	const c1, c2 = 0x87c37b91114253d5, 0x4cf5ad432745937f
+	var h1, h2 uint64
+	nblocks := len(data) / 16
+	for i := 0; i < nblocks; i++ {
+		k1 := binary.LittleEndian.Uint64(data[i*16:])
+		k2 := binary.LittleEndian.Uint64(data[i*16+8:])
+		k1 *= c1
+		k1 = bits.RotateLeft64(k1, 31)
+		k1 *= c2
+		h1 ^= k1
+		h1 = bits.RotateLeft64(h1, 27)
+		h1 += h2
+		h1 = h1*5 + 0x52dce729
+		k2 *= c2
+		k2 = bits.RotateLeft64(k2, 33)
+		k2 *= c1
+		h2 ^= k2
+		h2 = bits.RotateLeft64(h2, 31)
+		h2 += h1
+		h2 = h2*5 + 0x38495ab5
 	}
-	for _, col := range cols {
-		h := fnv.New128a()
-		var lenBuf [8]byte
-		write := func(s string) {
-			binary.BigEndian.PutUint64(lenBuf[:], uint64(len(s)))
-			h.Write(lenBuf[:]) //shvet:ignore unchecked-err hash.Hash Write never returns an error
-			h.Write([]byte(s)) //shvet:ignore unchecked-err hash.Hash Write never returns an error
+	tail := data[nblocks*16:]
+	var k1, k2 uint64
+	for i := len(tail) - 1; i >= 8; i-- {
+		k2 = k2<<8 | uint64(tail[i])
+	}
+	if len(tail) > 8 {
+		k2 *= c2
+		k2 = bits.RotateLeft64(k2, 33)
+		k2 *= c1
+		h2 ^= k2
+	}
+	for i := min(len(tail), 8) - 1; i >= 0; i-- {
+		k1 = k1<<8 | uint64(tail[i])
+	}
+	if len(tail) > 0 {
+		k1 *= c1
+		k1 = bits.RotateLeft64(k1, 31)
+		k1 *= c2
+		h1 ^= k1
+	}
+	fmix := func(k uint64) uint64 {
+		k ^= k >> 33
+		k *= 0xff51afd7ed558ccd
+		k ^= k >> 33
+		k *= 0xc4ceb9fe1a85ec53
+		k ^= k >> 33
+		return k
+	}
+	h1 ^= uint64(len(data))
+	h2 ^= uint64(len(data))
+	h1 += h2
+	h2 += h1
+	h1, h2 = fmix(h1), fmix(h2)
+	h1 += h2
+	h2 += h1
+	var out cacheKey
+	binary.LittleEndian.PutUint64(out[:8], h1)
+	binary.LittleEndian.PutUint64(out[8:], h2)
+	return out
+}
+
+// framedColumn is the byte stream columnKey hashes: the name and then
+// each value, every string preceded by its big-endian 8-byte length.
+func framedColumn(col *data.Column) []byte {
+	var out []byte
+	for _, s := range append([]string{col.Name}, col.Values...) {
+		out = binary.BigEndian.AppendUint64(out, uint64(len(s)))
+		out = append(out, s...)
+	}
+	return out
+}
+
+// TestColumnKeyMatchesReference pins the streamed, word-at-a-time hash in
+// cache.go to the plain MurmurHash3_x64_128 of the column's framed byte
+// stream. Any drift would silently invalidate (or worse, cross-wire) every
+// cached prediction and reshuffle the gateway's shard map. It covers the
+// reference itself against published digests, every string length 0–40
+// around the 8- and 16-byte boundaries at every offset the length prefix
+// can leave in the pending block, random columns, and golden column keys.
+func TestColumnKeyMatchesReference(t *testing.T) {
+	for _, p := range []struct{ in, want string }{
+		{"", "00000000000000000000000000000000"},
+		{"The quick brown fox jumps over the lazy dog", "6c1b07bc7bbc4be347939ac4a93c437a"},
+	} {
+		if got := fmt.Sprintf("%x", murmur3Reference([]byte(p.in))); got != p.want {
+			t.Errorf("reference MurmurHash3_x64_128(%q) = %s, want published %s", p.in, got, p.want)
 		}
-		write(col.Name)
-		for _, v := range col.Values {
-			write(v)
+	}
+
+	check := func(col data.Column) bool {
+		got, want := columnKey(&col), murmur3Reference(framedColumn(&col))
+		if got != want {
+			t.Errorf("columnKey(%q, %d values) = %x, want reference %x", col.Name, len(col.Values), got, want)
 		}
-		var want cacheKey
-		h.Sum(want[:0])
-		if got := columnKey(&col); got != want {
-			t.Errorf("columnKey(%q) = %x, want stdlib FNV-128a %x", col.Name, got, want)
+		return got == want
+	}
+	long := strings.Repeat("0123456789abcdef", 3)
+	for name := 0; name <= 16; name++ {
+		for n := 0; n <= 40; n++ {
+			check(data.Column{Name: long[:name], Values: []string{long[:n], long[n%7 : n%7+n/2], ""}})
+		}
+	}
+	if err := quick.Check(func(name string, values []string) bool {
+		return check(data.Column{Name: name, Values: values})
+	}, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+
+	// Golden keys: a deliberate change of the hash or its framing must
+	// update these, and reshuffles every fleet's shards on upgrade.
+	for _, g := range []struct {
+		col  data.Column
+		want string
+	}{
+		{data.Column{}, "cbc357ccb763df2852fee8c4fc7d55f2"},
+		{data.Column{Name: "age", Values: []string{"ab", "c"}}, "ff14f743452033f1e4940afbd071f7c6"},
+		{data.Column{Name: "zip", Values: []string{"", "02139", "Ärzte", "a\x00b", strings.Repeat("x", 300)}}, "c43d92b0558c319bf544c548ea497d5d"},
+	} {
+		if got := fmt.Sprintf("%x", columnKey(&g.col)); got != g.want {
+			t.Errorf("columnKey(%q) = %s, want golden %s", g.col.Name, got, g.want)
 		}
 	}
 }

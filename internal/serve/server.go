@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -332,7 +333,11 @@ func (s *Server) process(t task) {
 	acc.addQueue(qd)
 
 	ctx, colSpan := obs.StartSpan(t.ctx, "column")
-	colSpan.SetAttr("column", t.col.Name)
+	if colSpan != nil {
+		// The trace ring outlives the request; a decoded name aliases the
+		// whole request body (ReadInferRequest), so keep a copy.
+		colSpan.SetAttr("column", strings.Clone(t.col.Name))
+	}
 	defer colSpan.End()
 
 	// One atomic load pins this column to a single (pipeline, seq) pair:
