@@ -55,13 +55,16 @@ bench-check:
 # corpus (testdata/fuzz/) and then mutates for 10 s. The targets
 # compare the single-pass cell scanner and the missing-token fast path
 # with their multi-pass reference formulations, the one-pass /v1/infer
-# decoder with encoding/json, and check the traceparent parser never
-# panics and round-trips what it accepts.
+# decoder with encoding/json, and check the traceparent and fault-spec
+# parsers never panic and round-trip what they accept, and that the
+# X-Deadline-Ms parser never panics and never yields a negative budget.
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzComputeMatchesReference$$' -fuzztime 10s ./internal/stats
 	$(GO) test -run '^$$' -fuzz '^FuzzIsMissingMatchesReference$$' -fuzztime 10s ./internal/data
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMatchesJSON$$' -fuzztime 10s ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzParseDeadline$$' -fuzztime 10s ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTraceparent$$' -fuzztime 10s ./internal/obs
+	$(GO) test -run '^$$' -fuzz '^FuzzFaultSpec$$' -fuzztime 10s ./internal/resilience/faultinject
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
@@ -105,11 +108,11 @@ profile:
 		-cpuprofile=profiles/cpu.out -memprofile=profiles/mem.out \
 		-o profiles/bench.test .
 
-# Chaos suite: the resilience layer (breaker, gate, retry budget, AIMD
-# limiter, backoff, fault injector, rule fallback) plus the serve- and
-# gateway-level fault drills — replica kills, brownouts, retry storms —
-# under the race detector; panic recovery and load shedding are only
-# trustworthy race-clean.
+# Chaos suite: the resilience layer (breaker, gate, retry budget, fault
+# injector, rule fallback), the gateway's per-replica forwarding
+# controller, and the serve- and gateway-level fault drills — replica
+# kills, brownouts, retry storms — under the race detector; panic
+# recovery and load shedding are only trustworthy race-clean.
 chaos:
 	$(GO) test -race ./internal/resilience/... ./internal/serve ./internal/gateway
 

@@ -142,11 +142,7 @@ func main() {
 		cfg.TraceSink = sink // same caveat as Faults: only a non-nil *os.File may land in the interface
 	}
 	srv := serve.New(pipe, cfg)
-	httpSrv := &http.Server{
-		Addr:              *addr,
-		Handler:           srv.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
+	httpSrv := serve.NewHTTPServer(*addr, srv.Handler(), *timeout, 10*time.Second)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -83,16 +83,14 @@ func main() {
 		drain      = flag.Duration("drain", 15*time.Second, "max time to drain in-flight requests at shutdown")
 
 		brkFailures = flag.Int("breaker-failures", 0, "consecutive shard failures that trip a replica's breaker (default 5)")
-		brkProbe    = flag.Duration("breaker-probe", 0, "wait before an open replica breaker probes again (default 5s)")
+		brkProbe    = flag.Duration("breaker-probe", 0, "wait before an open replica breaker probes again; also caps a shedding replica's backoff (default 5s)")
 		faultSpec   = flag.String("fault-spec", "", "deterministic fault injection at gateway sites, e.g. 'forward@r1:error:1' (testing only)")
 		faultSeed   = flag.Int64("fault-seed", 1, "seed for -fault-spec fault draws")
 
 		netSlack      = flag.Duration("net-slack", gateway.DefaultNetSlack, "network allowance subtracted from the budget propagated via X-Deadline-Ms (negative disables propagation)")
 		budgetRatio   = flag.Float64("retry-budget", resilience.DefaultRetryRatio, "retry-budget token deposited per successful shard leg (negative disables the refill)")
 		budgetBurst   = flag.Float64("retry-budget-burst", resilience.DefaultRetryBurst, "retry-budget bucket capacity; the bucket starts full")
-		inflightMax   = flag.Int("replica-inflight", resilience.DefaultAIMDMax, "adaptive concurrency ceiling on forwards per replica")
-		backoffBase   = flag.Duration("backoff-base", resilience.DefaultBackoffBase, "first backoff window after a shedding (429/503) replica answer (negative disables)")
-		backoffSeed   = flag.Int64("backoff-seed", 1, "seed for backoff jitter; replica i draws from seed+i")
+		inflightMax   = flag.Int("replica-inflight", gateway.DefaultReplicaInflight, "adaptive concurrency ceiling on forwards per replica")
 		retryAfterMax = flag.Int("retry-after-max", serve.DefaultRetryAfterMax, "cap in seconds on the Retry-After hint sent with 429/504 answers")
 	)
 	flag.Parse()
@@ -111,29 +109,26 @@ func main() {
 	}
 
 	cfg := gateway.Config{
-		Replicas:      fleet,
-		VNodes:        *vnodes,
-		Hedge:         *hedge,
-		Timeout:       *timeout,
-		ProbeInterval: *probe,
-		MaxBatch:      *maxBatch,
-		MaxCellBytes:  *maxCell,
-		QueueDepth:    *queue,
-		TraceRing:     *traceRing,
-		FlightRing:    *flightRing,
-		Logger:        logger,
-		EnablePprof:   *pprof,
-		Breaker: resilience.BreakerConfig{
-			FailureThreshold: *brkFailures,
-			ProbeInterval:    *brkProbe,
-		},
-		NetSlack: *netSlack,
+		Replicas:         fleet,
+		VNodes:           *vnodes,
+		Hedge:            *hedge,
+		Timeout:          *timeout,
+		ProbeInterval:    *probe,
+		MaxBatch:         *maxBatch,
+		MaxCellBytes:     *maxCell,
+		QueueDepth:       *queue,
+		TraceRing:        *traceRing,
+		FlightRing:       *flightRing,
+		Logger:           logger,
+		EnablePprof:      *pprof,
+		FailureThreshold: *brkFailures,
+		BreakerProbe:     *brkProbe,
+		ReplicaInflight:  *inflightMax,
+		NetSlack:         *netSlack,
 		RetryBudget: resilience.RetryBudgetConfig{
 			Ratio: *budgetRatio,
 			Burst: *budgetBurst,
 		},
-		ReplicaLimit:  resilience.AIMDConfig{Max: *inflightMax},
-		Backoff:       resilience.BackoffConfig{Base: *backoffBase, Seed: *backoffSeed},
 		RetryAfterMax: *retryAfterMax,
 	}
 	if *faultSpec != "" {
@@ -159,11 +154,7 @@ func main() {
 		logger.Error("startup failed", "err", err.Error())
 		os.Exit(1)
 	}
-	httpSrv := &http.Server{
-		Addr:              *addr,
-		Handler:           gw.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
+	httpSrv := serve.NewHTTPServer(*addr, gw.Handler(), *timeout, 10*time.Second)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -86,10 +86,10 @@ func (g *Gateway) scatter(ctx context.Context, groups []group) []groupResult {
 // shardAttempt is one forwarded sub-request's outcome. canceled marks
 // attempts that died because the group was canceled (a winner already
 // answered, or the client gave up) or the budget was spent before the
-// leg fired — those are not evidence against the replica and must not
-// feed its breaker. status and retryAfter carry the replica's HTTP
-// answer for non-200s (plain ints, not typed errors, so the hot path
-// classifies overloads without boxing).
+// leg fired — those are not evidence against the replica. status and
+// retryAfter carry the replica's HTTP answer for non-200s (plain ints,
+// not typed errors, so the hot path classifies overloads without
+// boxing).
 type shardAttempt struct {
 	replica    int
 	resp       *serve.InferResponse
@@ -103,11 +103,12 @@ type shardAttempt struct {
 // merged hedge/failover loop: the first candidate fires immediately, the
 // hedge timer speculatively fires the next candidate if no answer has
 // arrived, and any failure fires the next candidate at once. The first
-// success cancels the stragglers and wins. When every candidate is
-// exhausted — all breakers open, or every attempt failed — the group is
-// answered locally by the rule fallback so the batch still completes.
-// Hedged groups additionally record how long resolution took past the
-// first hedge fire (the hedge-phase latency).
+// success cancels the stragglers and wins. Each leg reports its own
+// outcome to its replica's controller (see forward). When every
+// candidate is exhausted — none admits a leg, or every attempt failed —
+// the group is answered locally by the rule fallback so the batch still
+// completes. Hedged groups additionally record how long resolution took
+// past the first hedge fire (the hedge-phase latency).
 //
 //shvet:hotpath per-shard scatter body; runs once per group of every gateway batch
 func (g *Gateway) dispatchGroup(ctx context.Context, gr *group) groupResult {
@@ -138,18 +139,12 @@ func (g *Gateway) dispatchGroup(ctx context.Context, gr *group) groupResult {
 		for next < len(order) {
 			r := order[next]
 			next++
-			rep := g.replicas[r]
-			if !rep.breaker.Allow() {
-				continue
-			}
-			if !rep.backoff.Ready() {
-				continue
-			}
-			if !rep.limiter.Acquire() {
+			trial, ok := g.replicas[r].ctl.acquire()
+			if !ok {
 				continue
 			}
 			inflight++
-			go g.forward(gctx, r, body, len(gr.cols), attempts)
+			go g.forward(gctx, r, trial, body, len(gr.cols), attempts)
 			return true
 		}
 		return false
@@ -170,18 +165,15 @@ func (g *Gateway) dispatchGroup(ctx context.Context, gr *group) groupResult {
 			case a := <-attempts:
 				inflight--
 				res.attempts++
+				label := g.replicas[a.replica].label
 				if a.err == nil {
-					rep := g.replicas[a.replica]
-					rep.breaker.Success()
-					rep.limiter.Success()
-					rep.backoff.Reset()
 					g.budget.Deposit()
 					res.preds = a.resp.Predictions
 					res.replica = a.replica
 					res.model = a.resp.Model
 					res.version = a.resp.ModelVersion
 					res.cacheHit = a.resp.CacheHits
-					span.SetAttr("replica", rep.label)
+					span.SetAttr("replica", label)
 					if res.hedged > 0 {
 						span.SetAttr("hedged", strconv.Itoa(res.hedged))
 					}
@@ -189,24 +181,8 @@ func (g *Gateway) dispatchGroup(ctx context.Context, gr *group) groupResult {
 					return res
 				}
 				if !a.canceled {
-					rep := g.replicas[a.replica]
-					rep.breaker.Failure()
-					rep.errors.Add(1)
-					g.met.shardErrors.Add(1)
-					// An overloaded answer adapts the gateway's pressure on
-					// that replica: cut its concurrency limit, and on an
-					// explicit shed (429/503) also arm its backoff with the
-					// Retry-After hint it sent.
-					switch a.status {
-					case http.StatusTooManyRequests, http.StatusServiceUnavailable:
-						rep.limiter.Overload()
-						rep.backoff.Arm(a.retryAfter)
-						g.met.backoffArmed.Add(1)
-					case http.StatusGatewayTimeout:
-						rep.limiter.Overload()
-					}
 					//shvet:ignore string-churn failure-path annotation only; steady-state requests never reach this arm
-					span.SetAttr("error@"+rep.label, a.err.Error())
+					span.SetAttr("error@"+label, a.err.Error())
 				}
 				launch(true) // immediate failover; inflight hedges may still win
 			case <-hedge.C:
@@ -277,20 +253,32 @@ func localFallback(col *data.Column) serve.InferPrediction {
 }
 
 // forward sends one group's encoded body (ncols columns) to one replica
-// as a POST /v1/infer sub-request and reports the outcome. Panics
-// (possible via injected faults) are converted to errors so one bad
-// attempt can't take the gateway down. The caller acquired a slot on the
-// replica's concurrency limiter; forward owns releasing it.
-func (g *Gateway) forward(ctx context.Context, ri int, body []byte, ncols int, out chan<- shardAttempt) {
+// as a POST /v1/infer sub-request and reports the outcome on out. The
+// caller acquired the leg on the replica's controller (trial when it
+// holds the trial slot); forward is the one place that reports the leg
+// back, exactly once, whether it won, failed, lost to a hedge or was
+// canceled. Panics (possible via injected faults) are converted to
+// errors so one bad attempt can't take the gateway down.
+func (g *Gateway) forward(ctx context.Context, ri int, trial bool, body []byte, ncols int, out chan<- shardAttempt) {
 	r := g.replicas[ri]
-	defer r.limiter.Release()
+	a := shardAttempt{replica: ri}
+	defer func() {
+		if r.ctl.report(trial, &a) {
+			g.met.backoffArmed.Add(1)
+		}
+		if a.err != nil && !a.canceled {
+			r.errors.Add(1)
+			g.met.shardErrors.Add(1)
+		}
+		out <- a
+	}()
 	r.requests.Add(1)
 	g.met.shardRequests.Add(1)
 	fctx, fSpan := obs.StartSpan(ctx, "forward")
 	fSpan.SetAttr("replica", r.label)
 	start := time.Now()
 	var meta shardMeta
-	resp, err := func() (resp *serve.InferResponse, err error) {
+	a.resp, a.err = func() (resp *serve.InferResponse, err error) {
 		defer func() {
 			if p := recover(); p != nil {
 				err = fmt.Errorf("forward to %s panicked: %v", r.label, p)
@@ -302,19 +290,13 @@ func (g *Gateway) forward(ctx context.Context, ri int, body []byte, ncols int, o
 		resp, meta, err = g.postInfer(fctx, r.addr, body, ncols)
 		return resp, err
 	}()
-	if err != nil {
-		fSpan.SetAttr("error", err.Error())
+	if a.err != nil {
+		fSpan.SetAttr("error", a.err.Error())
 	}
 	fSpan.End()
 	g.met.shardLatency.ObserveSince(start)
-	out <- shardAttempt{
-		replica:    ri,
-		resp:       resp,
-		err:        err,
-		canceled:   err != nil && (ctx.Err() != nil || err == errBudgetSpent),
-		status:     meta.status,
-		retryAfter: meta.retryAfter,
-	}
+	a.canceled = a.err != nil && (ctx.Err() != nil || a.err == errBudgetSpent)
+	a.status, a.retryAfter = meta.status, meta.retryAfter
 }
 
 // decodeJSONBody decodes a bounded JSON response body.

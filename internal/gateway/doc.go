@@ -23,11 +23,12 @@
 // A background prober polls every replica's /healthz. Replicas reporting
 // "degraded" (their prediction breaker is open and they answer from the
 // rule fallback) are deprioritized; replicas that fail the probe are
-// routed around entirely. Each replica also has a local circuit breaker
-// fed by forwarding outcomes, so a replica that probes healthy but fails
-// requests is tripped out of rotation between probes. Candidate order
-// for a column group is: the ring owner first, then the remaining
-// replicas in ring order, stably bucketed healthy < degraded < down.
+// routed around entirely. Each replica also has one forwarding
+// controller: a breaker, an AIMD concurrency limit and a shed backoff
+// over one state, fed by every forward leg's outcome, so a replica that
+// probes healthy but fails or sheds is held off between probes. The
+// candidate order for a column group is the ring owner first, then the
+// rest in ring order, stably bucketed healthy < degraded < down.
 //
 // Forwarding a group works through that candidate list with a merged
 // hedge/failover loop: the first candidate is fired immediately, a hedge

@@ -68,8 +68,19 @@ type Config struct {
 	// QueueDepth is the admission gate high-water mark in columns (0 =
 	// 2*MaxBatch).
 	QueueDepth int
-	// Breaker tunes the per-replica forwarding breakers.
-	Breaker resilience.BreakerConfig
+	// FailureThreshold is how many consecutive failed forwards trip a
+	// replica out of rotation (0 = resilience.DefaultFailureThreshold).
+	FailureThreshold int
+	// BreakerProbe is how long a tripped replica waits before it is
+	// offered one trial forward; it also caps the backoff armed by a
+	// shedding (429/503) answer (0 = resilience.DefaultProbeInterval).
+	BreakerProbe time.Duration
+	// ReplicaInflight is the ceiling of each replica's adaptive (AIMD)
+	// concurrency limit, which starts there (0 = DefaultReplicaInflight).
+	ReplicaInflight int
+	// Clock drives the per-replica forwarding windows (nil = the system
+	// clock). Testing only.
+	Clock resilience.Clock
 	// NetSlack is the network allowance subtracted from the remaining
 	// request budget before propagating it to replicas (0 =
 	// DefaultNetSlack, negative disables deadline propagation).
@@ -78,13 +89,6 @@ type Config struct {
 	// fleet-wide. The zero value takes the resilience package defaults
 	// (~10% of successful traffic plus a small floor).
 	RetryBudget resilience.RetryBudgetConfig
-	// ReplicaLimit tunes the adaptive (AIMD) per-replica concurrency
-	// limiters. The zero value takes the resilience package defaults.
-	ReplicaLimit resilience.AIMDConfig
-	// Backoff tunes the per-replica retry backoff armed by shedding
-	// (429/503) answers. The zero value takes the resilience package
-	// defaults; replica i's jitter RNG is seeded Backoff.Seed + i.
-	Backoff resilience.BackoffConfig
 	// RetryAfterMax caps the Retry-After hint (seconds) on shed and
 	// budget-spent responses (0 = serve.DefaultRetryAfterMax).
 	RetryAfterMax int
@@ -134,6 +138,18 @@ func (c Config) normalized() Config {
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 2 * c.MaxBatch
 	}
+	if c.FailureThreshold <= 0 {
+		c.FailureThreshold = resilience.DefaultFailureThreshold
+	}
+	if c.BreakerProbe <= 0 {
+		c.BreakerProbe = resilience.DefaultProbeInterval
+	}
+	if c.ReplicaInflight <= 0 {
+		c.ReplicaInflight = DefaultReplicaInflight
+	}
+	if c.Clock == nil {
+		c.Clock = resilience.SystemClock()
+	}
 	if c.NetSlack == 0 {
 		c.NetSlack = DefaultNetSlack
 	}
@@ -150,14 +166,12 @@ func (c Config) normalized() Config {
 }
 
 // replica is the gateway's per-replica state: address, stable label,
-// probe-observed health, and the local forwarding breaker.
+// probe-observed health, and the forwarding controller.
 type replica struct {
-	addr    string
-	label   string // "r0", "r1", ... in ring (sorted-address) order
-	breaker *resilience.Breaker
-	limiter *resilience.AIMDLimiter // adaptive concurrency cap on forwards
-	backoff *resilience.Backoff     // armed by shedding (429/503) answers
-	health  atomic.Int32            // Health, written by the prober
+	addr   string
+	label  string // "r0", "r1", ... in ring (sorted-address) order
+	ctl    *controller
+	health atomic.Int32 // Health, written by the prober
 
 	requests atomic.Int64 // shard requests sent to this replica
 	errors   atomic.Int64 // shard requests that failed
@@ -236,17 +250,9 @@ func New(cfg Config) (*Gateway, error) {
 		g.tracer.SetSink(cfg.TraceSink)
 	}
 	for i, addr := range ring.Replicas() {
-		bcfg := cfg.Backoff
-		// Offset the seed per replica so peers' jitter decorrelates while
-		// the whole fleet's schedule stays reproducible from one seed.
-		bcfg.Seed += int64(i)
-		r := &replica{
-			addr:    addr,
-			label:   "r" + strconv.Itoa(i),
-			breaker: resilience.NewBreaker(cfg.Breaker),
-			limiter: resilience.NewAIMDLimiter(cfg.ReplicaLimit),
-			backoff: resilience.NewBackoff(bcfg),
-		}
+		// Seeding the jitter by ring index decorrelates peers while the
+		// fleet's schedule stays reproducible.
+		r := &replica{addr: addr, label: "r" + strconv.Itoa(i), ctl: newController(cfg, int64(i))}
 		// Until the first probe lands, optimism: route normally rather
 		// than stalling a fresh gateway behind one probe interval.
 		r.health.Store(int32(Healthy))
@@ -274,30 +280,22 @@ func ringKey(col *data.Column) uint64 {
 }
 
 // healthClass buckets a replica for candidate ordering: 0 route
-// normally, 1 deprioritize, 2 route around. The probe result, the
-// local forwarding breaker, the backoff window, and the adaptive
-// concurrency limiter all contribute — a replica that probes healthy
-// but is shedding, backing off, or at its concurrency limit is
-// deprioritized so failovers prefer replicas with headroom.
+// normally, 1 deprioritize, 2 route around. The worse of the probe
+// result and the forwarding controller's class wins — a replica that
+// probes healthy but is tripped, backing off, or at its concurrency
+// limit is deprioritized so failovers prefer replicas with headroom.
+// Health values are their own classes.
 func (g *Gateway) healthClass(i int) int {
 	r := g.replicas[i]
-	switch {
-	case Health(r.health.Load()) == Down, r.breaker.State() == resilience.Open:
-		return 2
-	case Health(r.health.Load()) == Degraded, r.breaker.State() == resilience.HalfOpen,
-		!r.backoff.Ready(), r.limiter.Saturated():
-		return 1
-	default:
-		return 0
-	}
+	return max(int(r.health.Load()), r.ctl.view().class())
 }
 
 // candidates returns the failover order for a group owned by owner:
 // replicas in ring order starting at the owner, stably bucketed healthy
 // < degraded < down. A healthy owner is always first; a dead owner's
 // groups go to the next healthy replica clockwise, and down replicas
-// remain last-resort candidates (their breaker half-open probe decides
-// whether they are actually tried).
+// remain last-resort candidates (their controller decides whether they
+// are actually tried).
 func (g *Gateway) candidates(owner int) []int {
 	n := len(g.replicas)
 	order := make([]int, 0, n)
@@ -420,7 +418,7 @@ func (g *Gateway) replicaStatuses() []ReplicaStatus {
 			Replica:   r.label,
 			Addr:      r.addr,
 			Health:    Health(r.health.Load()).String(),
-			Breaker:   r.breaker.State().String(),
+			Breaker:   r.ctl.view().state.String(),
 			Ownership: g.owned[i],
 			Requests:  r.requests.Load(),
 			Errors:    r.errors.Load(),

@@ -7,12 +7,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"sortinghat/internal/core"
 	"sortinghat/internal/data"
-	"sortinghat/internal/resilience"
 	"sortinghat/internal/serve"
 	"sortinghat/internal/synth"
 )
@@ -87,6 +87,36 @@ func newTestGateway(t testing.TB, addrs []string, tweak func(*Config)) *Gateway 
 	}
 	t.Cleanup(g.Close)
 	return g
+}
+
+// stubReplica serves /healthz as "ok" and answers /v1/infer with one
+// numeric prediction per column, unless answer — called with the 1-based
+// forward count — already wrote a response and returns true.
+func stubReplica(t *testing.T, answer func(n int64, w http.ResponseWriter, r *http.Request) bool) (string, *atomic.Int64) {
+	t.Helper()
+	calls := new(atomic.Int64)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/healthz" {
+			_ = json.NewEncoder(w).Encode(serve.HealthResponse{Status: "ok"})
+			return
+		}
+		if answer != nil && answer(calls.Add(1), w, r) {
+			return
+		}
+		var req serve.InferRequest
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		resp := serve.InferResponse{Model: "stub", ModelVersion: "s1"}
+		for _, c := range req.Columns {
+			resp.Predictions = append(resp.Predictions, serve.InferPrediction{Name: c.Name, Type: "numeric"})
+		}
+		w.Header().Set("Content-Type", "application/json")
+		_ = json.NewEncoder(w).Encode(resp)
+	}))
+	t.Cleanup(ts.Close)
+	return ts.URL, calls
 }
 
 // replicaByAddr maps a fleet back to ring labels: index i of the sorted
@@ -339,7 +369,7 @@ func TestGatewayHedgesSlowShard(t *testing.T) {
 func TestGatewayFallbackWhenFleetDead(t *testing.T) {
 	fleet, addrs := startFleet(t, 2, nil)
 	g := newTestGateway(t, addrs, func(c *Config) {
-		c.Breaker = resilience.BreakerConfig{FailureThreshold: 100} // keep trying, keep failing
+		c.FailureThreshold = 100 // keep trying, keep failing
 	})
 	for _, r := range fleet {
 		r.http.Close()
@@ -368,4 +398,34 @@ func TestGatewayFallbackWhenFleetDead(t *testing.T) {
 // toColumn converts a wire column to the routing form.
 func toColumn(c serve.InferColumn) data.Column {
 	return data.Column{Name: c.Name, Values: c.Values}
+}
+
+// TestGatewayDeadlineHeader checks how the gateway reads X-Deadline-Ms:
+// garbage is a 400, a spent budget a 504 before admission, and a budget
+// too large for a nanosecond time.Duration is clamped rather than
+// wrapped negative into an instant 504.
+func TestGatewayDeadlineHeader(t *testing.T) {
+	addr, _ := stubReplica(t, nil)
+	g := newTestGateway(t, []string{addr}, nil)
+	body, err := json.Marshal(testBatch(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		header string
+		want   int
+	}{
+		{"soon", http.StatusBadRequest},
+		{"0", http.StatusGatewayTimeout},
+		{"60000", http.StatusOK},
+		{"10000000000000", http.StatusOK},
+	} {
+		rec := httptest.NewRecorder()
+		r := httptest.NewRequest(http.MethodPost, "/v1/infer", bytes.NewReader(body))
+		r.Header.Set(serve.DeadlineHeader, tc.header)
+		g.Handler().ServeHTTP(rec, r)
+		if rec.Code != tc.want {
+			t.Errorf("X-Deadline-Ms %s: status = %d, want %d; body %s", tc.header, rec.Code, tc.want, rec.Body.Bytes())
+		}
+	}
 }

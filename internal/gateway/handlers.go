@@ -249,13 +249,13 @@ func (g *Gateway) serveBatch(w http.ResponseWriter, ctx context.Context, span *o
 	// upstream gateway tier) that sends X-Deadline-Ms bounds how long
 	// this request may hold queue and replica capacity.
 	if deadlineMS != "" {
-		ms, err := strconv.ParseInt(deadlineMS, 10, 64)
+		budget, err := serve.ParseDeadline(deadlineMS)
 		if err != nil {
 			g.met.requestErrors.Add(1)
 			fail(http.StatusBadRequest, "malformed "+serve.DeadlineHeader+" header: "+deadlineMS)
 			return
 		}
-		if ms <= 0 {
+		if budget <= 0 {
 			g.met.requestTimeouts.Add(1)
 			notes = append(notes, "rejected by control: deadline (budget spent before admission)")
 			span.SetAttr("deadline", "spent")
@@ -264,7 +264,7 @@ func (g *Gateway) serveBatch(w http.ResponseWriter, ctx context.Context, span *o
 			return
 		}
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(ms)*time.Millisecond)
+		ctx, cancel = context.WithTimeout(ctx, budget)
 		defer cancel()
 	}
 	if err := g.gate.TryReserve(len(cols)); err != nil {

@@ -38,7 +38,7 @@ type metrics struct {
 }
 
 // newMetrics builds the gateway's registry. State owned elsewhere
-// (gate, breakers, probe results, ring) is exposed through render-time
+// (gate, controllers, probe results, ring) is exposed through render-time
 // funcs; the per-replica blocks are named by ring label (r0, r1, ...) —
 // the obs registry is label-free by design, so the label lives in the
 // series name and the address in the help string.
@@ -71,17 +71,17 @@ func newMetrics(g *Gateway) *metrics {
 	for i, r := range g.replicas {
 		i, r := i, r
 		reg.GaugeFunc("sortinghatgw_replica_"+r.label+"_health", "Probe state of "+r.addr+" (0 healthy, 1 degraded, 2 down).", func() float64 { return float64(r.health.Load()) })
-		reg.GaugeFunc("sortinghatgw_replica_"+r.label+"_breaker_state", "Forwarding breaker state for "+r.addr+" (0 closed, 1 open, 2 half-open).", func() float64 { return float64(r.breaker.State()) })
+		reg.GaugeFunc("sortinghatgw_replica_"+r.label+"_breaker_state", "Forwarding breaker state for "+r.addr+" (0 closed, 1 open, 2 half-open).", func() float64 { return float64(r.ctl.view().state) })
 		reg.CounterFunc("sortinghatgw_replica_"+r.label+"_requests_total", "Sub-requests forwarded to "+r.addr+".", r.requests.Load)
 		reg.CounterFunc("sortinghatgw_replica_"+r.label+"_errors_total", "Failed sub-requests to "+r.addr+".", r.errors.Load)
 		reg.GaugeFunc("sortinghatgw_replica_"+r.label+"_ownership", "Ring ownership share of "+r.addr+".", func() float64 { return g.owned[i] })
-		reg.GaugeFunc("sortinghatgw_replica_"+r.label+"_concurrency_limit", "Adaptive (AIMD) concurrency limit on forwards to "+r.addr+".", func() float64 { return float64(r.limiter.Limit()) })
-		reg.GaugeFunc("sortinghatgw_replica_"+r.label+"_inflight", "Sub-requests currently in flight to "+r.addr+".", func() float64 { return float64(r.limiter.Inflight()) })
+		reg.GaugeFunc("sortinghatgw_replica_"+r.label+"_concurrency_limit", "Adaptive (AIMD) concurrency limit on forwards to "+r.addr+".", func() float64 { return float64(r.ctl.view().limit) })
+		reg.GaugeFunc("sortinghatgw_replica_"+r.label+"_inflight", "Sub-requests currently in flight to "+r.addr+".", func() float64 { return float64(r.ctl.view().inflight) })
 		reg.GaugeFunc("sortinghatgw_replica_"+r.label+"_in_backoff", "Whether "+r.addr+" is inside its backoff window (1 = yes).", func() float64 {
-			if r.backoff.Ready() {
-				return 0
+			if r.ctl.view().inBackoff {
+				return 1
 			}
-			return 1
+			return 0
 		})
 	}
 	m.batchSize = reg.Summary("sortinghatgw_batch_columns", "Columns per gateway request.")

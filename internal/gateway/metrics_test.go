@@ -76,7 +76,7 @@ func TestGatewayMetricsRenderPinned(t *testing.T) {
 			counter("sortinghatgw_replica_"+label+"_requests_total", "Sub-requests forwarded to "+addr+".", 0) +
 			counter("sortinghatgw_replica_"+label+"_errors_total", "Failed sub-requests to "+addr+".", 0) +
 			gauge("sortinghatgw_replica_"+label+"_ownership", "Ring ownership share of "+addr+".", ownership) +
-			gauge("sortinghatgw_replica_"+label+"_concurrency_limit", "Adaptive (AIMD) concurrency limit on forwards to "+addr+".", resilience.DefaultAIMDMax) +
+			gauge("sortinghatgw_replica_"+label+"_concurrency_limit", "Adaptive (AIMD) concurrency limit on forwards to "+addr+".", DefaultReplicaInflight) +
 			gauge("sortinghatgw_replica_"+label+"_inflight", "Sub-requests currently in flight to "+addr+".", 0) +
 			gauge("sortinghatgw_replica_"+label+"_in_backoff", "Whether "+addr+" is inside its backoff window (1 = yes).", 0)
 	}

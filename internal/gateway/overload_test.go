@@ -125,7 +125,7 @@ func TestChaosBrownoutBoundedAmplification(t *testing.T) {
 		c.RetryBudget = resilience.RetryBudgetConfig{Burst: burst, Ratio: 1e-9, MinPerSec: -1}
 		// Keep the slow replica's breaker closed for all ten batches so the
 		// budget — not the breaker — is what bounds the retries.
-		c.Breaker = resilience.BreakerConfig{FailureThreshold: 100}
+		c.FailureThreshold = 100
 	})
 
 	slow := replicaByAddr(g, slowAddr)
@@ -214,7 +214,7 @@ func TestRetryStormBounded(t *testing.T) {
 		c.Hedge = 5 * time.Millisecond
 		c.Timeout = timeout
 		c.RetryBudget = resilience.RetryBudgetConfig{Burst: burst, Ratio: -1, MinPerSec: -1}
-		c.Breaker = resilience.BreakerConfig{FailureThreshold: 100}
+		c.FailureThreshold = 100
 	})
 
 	req := testBatch(12)
@@ -289,8 +289,8 @@ func TestBackoffHonorsRetryAfter(t *testing.T) {
 
 	clk := resilience.NewFakeClock(time.Unix(0, 0))
 	g := newTestGateway(t, []string{ts.URL}, func(c *Config) {
-		c.Backoff = resilience.BackoffConfig{Clock: clk}
-		c.Breaker = resilience.BreakerConfig{FailureThreshold: 100}
+		c.Clock = clk
+		c.FailureThreshold = 100
 	})
 
 	req := testBatch(3)

@@ -40,7 +40,6 @@ func (s State) String() string {
 const (
 	DefaultFailureThreshold = 5
 	DefaultProbeInterval    = 5 * time.Second
-	DefaultSuccessThreshold = 1
 )
 
 // BreakerConfig tunes a Breaker. The zero value takes the documented
@@ -52,9 +51,6 @@ type BreakerConfig struct {
 	// ProbeInterval is how long the breaker stays Open before allowing a
 	// half-open probe. 0 means DefaultProbeInterval.
 	ProbeInterval time.Duration
-	// SuccessThreshold is how many consecutive half-open probe successes
-	// close the breaker. 0 means DefaultSuccessThreshold.
-	SuccessThreshold int
 	// Clock supplies the probe schedule's time source. nil means
 	// SystemClock.
 	Clock Clock
@@ -72,9 +68,6 @@ func (c BreakerConfig) normalized() BreakerConfig {
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = DefaultProbeInterval
 	}
-	if c.SuccessThreshold <= 0 {
-		c.SuccessThreshold = DefaultSuccessThreshold
-	}
 	if c.Clock == nil {
 		c.Clock = SystemClock()
 	}
@@ -85,18 +78,18 @@ func (c BreakerConfig) normalized() BreakerConfig {
 // guarded operation and report the outcome with Success or Failure; the
 // breaker trips Open after FailureThreshold consecutive failures, rejects
 // calls for ProbeInterval, then lets a single probe through (HalfOpen)
-// whose outcome either closes or re-opens it. All methods are safe for
-// concurrent use.
+// whose outcome either closes or re-opens it. Every Allow that returns
+// true must be answered by exactly one Success or Failure, or a
+// half-open breaker never admits another probe. All methods are safe
+// for concurrent use.
 type Breaker struct {
 	cfg BreakerConfig
 
-	mu        sync.Mutex
-	state     State
-	failures  int       // consecutive failures while Closed
-	successes int       // consecutive probe successes while HalfOpen
-	probing   bool      // a half-open probe is in flight
-	probeAt   time.Time // when Open may transition to HalfOpen
-	opened    int64     // lifetime Closed/HalfOpen -> Open transitions
+	mu       sync.Mutex
+	state    State     // HalfOpen means the one probe is in flight
+	failures int       // consecutive failures while Closed
+	probeAt  time.Time // when Open may transition to HalfOpen
+	opened   int64     // lifetime Closed/HalfOpen -> Open transitions
 }
 
 // NewBreaker returns a Closed breaker.
@@ -119,14 +112,9 @@ func (b *Breaker) Allow() bool {
 			return false
 		}
 		b.transition(HalfOpen)
-		b.probing = true
 		return true
-	default: // HalfOpen
-		if b.probing {
-			return false
-		}
-		b.probing = true
-		return true
+	default: // HalfOpen: the probe is out
+		return false
 	}
 }
 
@@ -138,11 +126,7 @@ func (b *Breaker) Success() {
 	case Closed:
 		b.failures = 0
 	case HalfOpen:
-		b.probing = false
-		b.successes++
-		if b.successes >= b.cfg.SuccessThreshold {
-			b.transition(Closed)
-		}
+		b.transition(Closed)
 	case Open:
 		// A straggler from before the trip finished late; ignore it.
 	}
@@ -159,7 +143,6 @@ func (b *Breaker) Failure() {
 			b.trip()
 		}
 	case HalfOpen:
-		b.probing = false
 		b.trip()
 	case Open:
 		// Stragglers while Open don't re-arm the probe timer.
@@ -179,8 +162,6 @@ func (b *Breaker) transition(to State) {
 	from := b.state
 	b.state = to
 	b.failures = 0
-	b.successes = 0
-	b.probing = false
 	if b.cfg.OnTransition != nil && from != to {
 		b.cfg.OnTransition(from, to)
 	}

@@ -111,34 +111,6 @@ func TestBreakerSuccessResetsFailureStreak(t *testing.T) {
 	}
 }
 
-// TestBreakerSuccessThreshold requires SuccessThreshold probe successes
-// before closing.
-func TestBreakerSuccessThreshold(t *testing.T) {
-	clk := NewFakeClock(time.Unix(0, 0))
-	b := NewBreaker(BreakerConfig{
-		FailureThreshold: 1,
-		ProbeInterval:    time.Second,
-		SuccessThreshold: 2,
-		Clock:            clk,
-	})
-	b.Failure()
-	clk.Advance(time.Second)
-	if !b.Allow() {
-		t.Fatal("first probe not admitted")
-	}
-	b.Success()
-	if got := b.State(); got != HalfOpen {
-		t.Fatalf("state after 1/2 probe successes = %v, want half-open", got)
-	}
-	if !b.Allow() {
-		t.Fatal("second probe not admitted after the first succeeded")
-	}
-	b.Success()
-	if got := b.State(); got != Closed {
-		t.Fatalf("state after 2/2 probe successes = %v, want closed", got)
-	}
-}
-
 // TestBreakerStateHasNoSideEffects pins that State observes without
 // transitioning: an open breaker whose probe is due stays open until the
 // next Allow.

@@ -202,3 +202,24 @@ func TestUnknownSiteAndNilInjector(t *testing.T) {
 		t.Errorf("nil injector String() = %q, want (none)", got)
 	}
 }
+
+// FuzzFaultSpec checks the -fault-spec parser never panics and that
+// every spec it accepts round-trips: String renders a spec that parses
+// back to the same faults, and so renders identically.
+func FuzzFaultSpec(f *testing.F) {
+	f.Add("predict:panic:0.1")
+	f.Fuzz(func(t *testing.T, spec string) {
+		in, err := Parse(spec, 1)
+		if err != nil {
+			return
+		}
+		s := in.String()
+		again, err := Parse(s, 1)
+		if err != nil {
+			t.Fatalf("Parse(%q) accepted, but its String %q does not parse: %v", spec, s, err)
+		}
+		if s2 := again.String(); s2 != s {
+			t.Fatalf("Parse(%q).String() = %q, which re-renders as %q", spec, s, s2)
+		}
+	})
+}

@@ -3,6 +3,9 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"io"
+	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -98,12 +101,114 @@ func TestDeadlineSpentBeforeAdmission(t *testing.T) {
 }
 
 // TestDeadlineHeaderMalformed checks garbage in X-Deadline-Ms is a 400,
-// not a silently ignored header.
+// not a silently ignored header, while a budget too large for a
+// nanosecond time.Duration is clamped rather than wrapped negative into
+// an instant 504.
 func TestDeadlineHeaderMalformed(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1})
-	rec := postInferDeadline(t, s.Handler(), testBatch(1), "soon")
-	if rec.Code != http.StatusBadRequest {
-		t.Fatalf("status = %d, want 400; body %s", rec.Code, rec.Body.Bytes())
+	for _, tc := range []struct {
+		header string
+		want   int
+	}{
+		{"soon", http.StatusBadRequest},
+		{"60000", http.StatusOK},
+		{"10000000000000", http.StatusOK},
+		{"9223372036854775807", http.StatusOK},
+	} {
+		rec := postInferDeadline(t, s.Handler(), testBatch(1), tc.header)
+		if rec.Code != tc.want {
+			t.Errorf("X-Deadline-Ms %s: status = %d, want %d; body %s", tc.header, rec.Code, tc.want, rec.Body.Bytes())
+		}
+	}
+}
+
+// TestParseDeadline table-drives the shared X-Deadline-Ms parser.
+func TestParseDeadline(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want time.Duration
+		err  bool
+	}{
+		{"250", 250 * time.Millisecond, false},
+		{"0", 0, false},
+		{"-5", 0, false},
+		{"9223372036854", 9223372036854 * time.Millisecond, false}, // the last value that fits
+		{"9223372036855", math.MaxInt64, false},
+		{"10000000000000", math.MaxInt64, false},
+		{"9223372036854775807", math.MaxInt64, false},
+		{"9223372036854775808", 0, true}, // past int64
+		{"1.5", 0, true},
+		{"", 0, true},
+	} {
+		got, err := ParseDeadline(tc.in)
+		if (err != nil) != tc.err || got != tc.want {
+			t.Errorf("ParseDeadline(%q) = %v, %v; want %v, error %v", tc.in, got, err, tc.want, tc.err)
+		}
+	}
+}
+
+// FuzzParseDeadline checks the X-Deadline-Ms parser never panics, never
+// returns a negative budget, and reads every accepted positive value
+// exactly or saturated at the largest time.Duration.
+func FuzzParseDeadline(f *testing.F) {
+	f.Add("60000")
+	f.Fuzz(func(t *testing.T, v string) {
+		d, err := ParseDeadline(v)
+		if err != nil {
+			return
+		}
+		if d < 0 {
+			t.Fatalf("ParseDeadline(%q) = %v, a negative budget", v, d)
+		}
+		ms, _ := strconv.ParseInt(v, 10, 64)
+		if ms > 0 && d != math.MaxInt64 && d != time.Duration(ms)*time.Millisecond {
+			t.Fatalf("ParseDeadline(%q) = %v, want %dms", v, d, ms)
+		}
+		if ms > 0 && d == math.MaxInt64 && ms <= math.MaxInt64/int64(time.Millisecond) {
+			t.Fatalf("ParseDeadline(%q) saturated a budget that fits", v)
+		}
+	})
+}
+
+// TestHTTPServerClosesStalledUpload checks the daemons' read bound: a
+// client that sends headers promising 1000 body bytes, then 10 of them,
+// then nothing, has its connection closed within timeout + headers
+// instead of holding it (and its body buffer) open forever.
+func TestHTTPServerClosesStalledUpload(t *testing.T) {
+	const timeout, headers = 100 * time.Millisecond, 100 * time.Millisecond
+	if got := NewHTTPServer("", nil, 0, headers).ReadTimeout; got != DefaultTimeout+headers {
+		t.Errorf("ReadTimeout with the default handler timeout = %v, want %v", got, DefaultTimeout+headers)
+	}
+	if got := NewHTTPServer("", nil, -1, headers).ReadTimeout; got != 0 {
+		t.Errorf("ReadTimeout with the handler timeout disabled = %v, want unset", got)
+	}
+
+	s := newTestServer(t, Config{Workers: 1})
+	srv := NewHTTPServer("", s.Handler(), timeout, headers)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() { _ = srv.Serve(ln) }()
+	t.Cleanup(func() { _ = srv.Close() })
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	if _, err := io.WriteString(conn, "POST /v1/infer HTTP/1.1\r\nHost: x\r\nContent-Type: application/json\r\nContent-Length: 1000\r\n\r\n{\"columns\""); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.Copy(io.Discard, conn); err != nil {
+		t.Fatalf("stalled upload still connected after %v: %v", time.Since(start), err)
+	}
+	if took := time.Since(start); took > timeout+headers+time.Second {
+		t.Errorf("stalled upload closed after %v, want within about %v", took, timeout+headers)
 	}
 }
 

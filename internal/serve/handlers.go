@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http"
 	"strconv"
 	"time"
@@ -25,6 +26,43 @@ const maxRequestBody = 64 << 20
 // server-side timeout down to it, so a replica never keeps working on a
 // column whose answer the gateway has already given up waiting for.
 const DeadlineHeader = "X-Deadline-Ms"
+
+// ParseDeadline reads a DeadlineHeader value, the caller's remaining
+// budget in whole milliseconds, as a duration. A budget that is already
+// spent (zero or negative) reads 0, and one past the largest
+// time.Duration (about 292 years) saturates there instead of wrapping
+// negative. Both tiers parse the header with it.
+func ParseDeadline(v string) (time.Duration, error) {
+	ms, err := strconv.ParseInt(v, 10, 64)
+	switch {
+	case err != nil:
+		return 0, err
+	case ms <= 0:
+		return 0, nil
+	case ms > math.MaxInt64/int64(time.Millisecond):
+		return math.MaxInt64, nil
+	}
+	return time.Duration(ms) * time.Millisecond, nil
+}
+
+// NewHTTPServer returns the http.Server a daemon listens with: request
+// headers must arrive within headerTimeout, and the whole request, body
+// included, within timeout + headerTimeout, so a stalled upload cannot
+// hold a connection and its body buffer forever. timeout is the
+// handler's own deadline (0 = DefaultTimeout); the read bound must
+// outlast it, or net/http's background read after the body would hit
+// the read deadline and cancel a slow but complete request. A negative
+// timeout leaves the body unbounded, like the handler.
+func NewHTTPServer(addr string, h http.Handler, timeout, headerTimeout time.Duration) *http.Server {
+	if timeout == 0 {
+		timeout = DefaultTimeout
+	}
+	srv := &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: headerTimeout}
+	if timeout > 0 {
+		srv.ReadTimeout = timeout + headerTimeout
+	}
+	return srv
+}
 
 // InferRequest is the JSON body of POST /v1/infer: a batch of raw
 // columns, typically every column of one ingested table. Clients encode
@@ -308,13 +346,13 @@ func (s *Server) serveBatch(w http.ResponseWriter, ctx context.Context, span *ob
 	// expire (and are dropped at pickup) the moment the caller stops
 	// waiting.
 	if deadlineMS != "" {
-		ms, err := strconv.ParseInt(deadlineMS, 10, 64)
+		budget, err := ParseDeadline(deadlineMS)
 		if err != nil {
 			s.met.requestErrors.Add(1)
 			fail(http.StatusBadRequest, "malformed "+DeadlineHeader+" header: "+deadlineMS)
 			return
 		}
-		if ms <= 0 {
+		if budget <= 0 {
 			s.met.requestTimeouts.Add(1)
 			notes = append(notes, "rejected by control: deadline (budget spent before admission)")
 			span.SetAttr("deadline", "spent")
@@ -323,7 +361,7 @@ func (s *Server) serveBatch(w http.ResponseWriter, ctx context.Context, span *ob
 		}
 		var cancel context.CancelFunc
 		// Nested WithTimeout keeps the tighter of this and Config.Timeout.
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(ms)*time.Millisecond)
+		ctx, cancel = context.WithTimeout(ctx, budget)
 		defer cancel()
 	}
 	s.met.columns.Add(int64(len(cols)))
